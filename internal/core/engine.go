@@ -459,11 +459,14 @@ func (e *Engine) RankPrepared(ctx context.Context, req Request, cond *CondState,
 			// of ctx.Err()'s lock, which the workers would otherwise contend
 			// on twice per candidate.
 			poll := ctxpoll.New(ctx, 1)
+			// One scratch per worker: every candidate this goroutine
+			// scores residualizes and cross-validates in the same buffers.
+			scratch := new(regress.Scratch)
 			for j := range jobs {
 				if poll.Cancelled() {
 					return // cancelled: drop remaining jobs, exit promptly
 				}
-				res := e.scoreOne(rankCtx, effective, j.fam, req.Target, zMat, prep, explainRows)
+				res := e.scoreOne(rankCtx, effective, j.fam, req.Target, zMat, prep, explainRows, scratch)
 				if poll.Cancelled() {
 					return // res may carry ctx.Err(); never record or emit it
 				}
@@ -520,14 +523,14 @@ func (e *Engine) RankPrepared(ctx context.Context, req Request, cond *CondState,
 	return table, nil
 }
 
-func (e *Engine) scoreOne(ctx context.Context, scorer Scorer, x, y *Family, zMat *linalg.Matrix, prep *condPrep, explainRows []int) Result {
+func (e *Engine) scoreOne(ctx context.Context, scorer Scorer, x, y *Family, zMat *linalg.Matrix, prep *condPrep, explainRows []int, scratch *regress.Scratch) Result {
 	ctx, endSpan := obs.StartSpanName(ctx, "score ", x.Name)
 	start := time.Now()
 	res := Result{Family: x.Name, Features: x.NumFeatures()}
 	var score float64
 	var err error
-	if l2, ok := scorer.(*L2Scorer); ok && prep != nil {
-		score, err = l2.score(ctx, x.Matrix, y.Matrix, zMat, prep, explainRows)
+	if l2, ok := scorer.(*L2Scorer); ok {
+		score, err = l2.score(ctx, x.Matrix, y.Matrix, zMat, prep, explainRows, scratch)
 	} else if cs, ok := scorer.(ContextScorer); ok {
 		score, err = cs.ScoreCtx(ctx, x.Matrix, y.Matrix, zMat, explainRows)
 	} else {
@@ -560,7 +563,7 @@ func (e *Engine) scoreOne(ctx context.Context, scorer Scorer, x, y *Family, zMat
 		p = l2.ProjectDim
 	}
 	res.PValue = stats.ChebyshevPValue(score, y.NumRows(), p)
-	res.Viz = Sparkline(x.Matrix.Col(0), 32)
+	res.Viz = x.viz()
 	return res
 }
 

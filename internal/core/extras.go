@@ -94,7 +94,7 @@ func PredictionOverlay(x, y, z *Family, width, height int) (string, error) {
 			return "", err
 		}
 	}
-	lambda, err := bestLambda(context.Background(), xm, ym, regress.DefaultLambdaGrid, 5)
+	lambda, err := bestLambda(context.Background(), xm, ym, regress.DefaultLambdaGrid, 5, new(regress.Scratch))
 	if err != nil {
 		return "", err
 	}

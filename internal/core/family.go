@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"explainit/internal/linalg"
@@ -25,6 +26,21 @@ type Family struct {
 	Columns []string    // one identifier per feature column
 	Index   []time.Time // shared time grid (may be nil for raw matrices)
 	Matrix  *linalg.Matrix
+
+	// The Score Table's viz column depends only on the family, so it is
+	// rendered on first use and reused by every ranking that scores it. A
+	// rebuilt family is a new value and renders its own.
+	vizOnce   sync.Once
+	sparkline string
+}
+
+// vizWidth is the width of the Score Table's sparkline column.
+const vizWidth = 32
+
+// viz returns the sparkline of the family's lead column, rendered once.
+func (f *Family) viz() string {
+	f.vizOnce.Do(func() { f.sparkline = Sparkline(f.Matrix.Col(0), vizWidth) })
+	return f.sparkline
 }
 
 // NumFeatures returns F, the number of metric columns.

@@ -157,13 +157,13 @@ func (s *L2Scorer) grid() []float64 {
 
 // Score implements Scorer.
 func (s *L2Scorer) Score(x, y, z *linalg.Matrix, explainRows []int) (float64, error) {
-	return s.score(context.Background(), x, y, z, nil, explainRows)
+	return s.score(context.Background(), x, y, z, nil, explainRows, new(regress.Scratch))
 }
 
 // ScoreCtx implements ContextScorer: the context is checked once per CV
 // fold and per projection draw.
 func (s *L2Scorer) ScoreCtx(ctx context.Context, x, y, z *linalg.Matrix, explainRows []int) (float64, error) {
-	return s.score(ctx, x, y, z, nil, explainRows)
+	return s.score(ctx, x, y, z, nil, explainRows, new(regress.Scratch))
 }
 
 // condPrep caches the conditioning work that is identical for every
@@ -197,7 +197,11 @@ func (s *L2Scorer) condCacheable(y, z *linalg.Matrix) bool {
 	return s.ProjectDim <= 0 || (y.Cols <= s.ProjectDim && z.Cols <= s.ProjectDim)
 }
 
-func (s *L2Scorer) score(ctx context.Context, x, y, z *linalg.Matrix, prep *condPrep, explainRows []int) (float64, error) {
+// score is the scorer behind Score, ScoreCtx and the engine's workers.
+// scratch is the calling goroutine's working memory: the candidate's
+// residualization and its cross-validation both run in it, so a worker
+// that scores thousands of candidates allocates its buffers once.
+func (s *L2Scorer) score(ctx context.Context, x, y, z *linalg.Matrix, prep *condPrep, explainRows []int, scratch *regress.Scratch) (float64, error) {
 	if x.Rows != y.Rows {
 		return 0, fmt.Errorf("core: %s: X has %d rows, Y has %d", s.Name(), x.Rows, y.Rows)
 	}
@@ -235,7 +239,7 @@ func (s *L2Scorer) score(ctx context.Context, x, y, z *linalg.Matrix, prep *cond
 				pz = s.projCache.Project(base+projRoleZ, z, s.ProjectDim)
 			}
 		}
-		score, err := s.scoreOnce(ctx, px, py, pz, prep, explainRows)
+		score, err := s.scoreOnce(ctx, px, py, pz, prep, explainRows, scratch)
 		if err != nil {
 			return 0, err
 		}
@@ -244,7 +248,7 @@ func (s *L2Scorer) score(ctx context.Context, x, y, z *linalg.Matrix, prep *cond
 	return checkFinite(s.Name(), total/float64(samples))
 }
 
-func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *condPrep, explainRows []int) (float64, error) {
+func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *condPrep, explainRows []int, scratch *regress.Scratch) (float64, error) {
 	// Conditional scoring (§3.5, Appendix B): residualise both X and Y on
 	// Z, then score the residual-on-residual regression. A zero score then
 	// certifies X ⊥ Y | Z under joint normality. Z is standardized and
@@ -259,7 +263,9 @@ func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *
 				return 0, err
 			}
 		}
-		rx, err := prep.zDesign.Residualize(x, prep.lambda)
+		// rx lives in scratch until the next candidate; prep.ry was
+		// residualized into memory of its own and outlives it.
+		rx, err := prep.zDesign.ResidualizeInto(x, prep.lambda, scratch)
 		if err != nil {
 			return 0, err
 		}
@@ -268,7 +274,7 @@ func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *
 	if explainRows != nil {
 		// Train on everything, report explained variance on the explain
 		// range only.
-		lambda, err := bestLambda(ctx, x, y, s.grid(), s.folds())
+		lambda, err := bestLambda(ctx, x, y, s.grid(), s.folds(), scratch)
 		if err != nil {
 			return 0, err
 		}
@@ -291,7 +297,7 @@ func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *
 		return stats.ExplainedVarianceMean(ye, pred), nil
 	}
 	_, endCV := obs.StartSpan(ctx, "cv")
-	score, err := regress.CrossValidatedScoreCtx(ctx, x, y, s.grid(), s.folds())
+	score, err := scratch.CrossValidatedScore(ctx, x, y, s.grid(), s.folds())
 	endCV()
 	return score, err
 }
@@ -313,12 +319,12 @@ func residualizeBoth(x, y, z *linalg.Matrix, lambda float64) (rx, ry *linalg.Mat
 }
 
 // bestLambda runs the CV grid search and returns the winning penalty.
-func bestLambda(ctx context.Context, x, y *linalg.Matrix, grid []float64, k int) (float64, error) {
+func bestLambda(ctx context.Context, x, y *linalg.Matrix, grid []float64, k int, scratch *regress.Scratch) (float64, error) {
 	folds, err := regress.TimeSeriesFoldRanges(x.Rows, k)
 	if err != nil {
 		return grid[len(grid)/2], nil // too little data: middle of the grid
 	}
-	res, err := regress.CrossValidateRidgeCtx(ctx, x, y, grid, folds)
+	res, err := scratch.CrossValidateRidge(ctx, x, y, grid, folds)
 	if err != nil {
 		return 0, err
 	}

@@ -73,6 +73,28 @@ func FromColumns(cols [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
+// Resize reshapes m in place to a zeroed rows x cols matrix and returns it,
+// reusing the backing array when it is large enough — how scratch matrices
+// in hot loops are recycled without allocating.
+func (m *Matrix) Resize(rows, cols int) *Matrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("linalg: negative dimensions %dx%d", rows, cols))
+	}
+	m.Data = growFloats(m.Data, rows*cols)
+	clear(m.Data)
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
+// growFloats returns buf resliced to length n, reallocating only when its
+// capacity is too small. Contents are unspecified.
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -132,28 +154,52 @@ func (m *Matrix) T() *Matrix {
 // across GOMAXPROCS goroutines; each output cell always accumulates over k
 // in ascending order, so results are identical at any worker count.
 func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d) * (%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
+	out := new(Matrix)
+	if err := m.MulInto(b, out); err != nil {
+		return nil, err
 	}
-	out := NewMatrix(m.Rows, b.Cols)
-	workers := kernelWorkers(m.Rows * m.Cols * b.Cols)
-	parallelRows(m.Rows, workers, func(lo, hi int) {
-		mulRange(m, b, out, lo, hi)
-	})
 	return out, nil
+}
+
+// MulInto is Mul writing the product into out, which is resized to fit.
+func (m *Matrix) MulInto(b, out *Matrix) error {
+	if m.Cols != b.Rows {
+		return fmt.Errorf("%w: (%dx%d) * (%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
+	}
+	out.Resize(m.Rows, b.Cols)
+	if workers := kernelWorkers(m.Rows * m.Cols * b.Cols); workers > 1 {
+		parallelRows(m.Rows, workers, func(lo, hi int) {
+			mulRange(m, b, out, lo, hi)
+		})
+	} else {
+		mulRange(m, b, out, 0, m.Rows)
+	}
+	return nil
 }
 
 // MulT returns m^T * b without materialising the transpose.
 func (m *Matrix) MulT(b *Matrix) (*Matrix, error) {
-	if m.Rows != b.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d)^T * (%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
+	out := new(Matrix)
+	if err := m.MulTInto(b, out); err != nil {
+		return nil, err
 	}
-	out := NewMatrix(m.Cols, b.Cols)
-	workers := kernelWorkers(m.Rows * m.Cols * b.Cols)
-	parallelRows(m.Cols, workers, func(lo, hi int) {
-		mulTRange(m, b, out, lo, hi)
-	})
 	return out, nil
+}
+
+// MulTInto is MulT writing the product into out, which is resized to fit.
+func (m *Matrix) MulTInto(b, out *Matrix) error {
+	if m.Rows != b.Rows {
+		return fmt.Errorf("%w: (%dx%d)^T * (%dx%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
+	}
+	out.Resize(m.Cols, b.Cols)
+	if workers := kernelWorkers(m.Rows * m.Cols * b.Cols); workers > 1 {
+		parallelRows(m.Cols, workers, func(lo, hi int) {
+			mulTRange(m, b, out, lo, hi)
+		})
+	} else {
+		mulTRange(m, b, out, 0, m.Cols)
+	}
+	return nil
 }
 
 // MulTRight returns m * b^T without materialising the transpose.
@@ -177,12 +223,7 @@ func (m *Matrix) Gram() *Matrix {
 	parallelTriangleRows(m.Cols, workers, func(lo, hi int) {
 		gramRange(m, out, lo, hi)
 	})
-	// Mirror the upper triangle into the lower triangle.
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < i; j++ {
-			out.Data[i*out.Cols+j] = out.Data[j*out.Cols+i]
-		}
-	}
+	mirrorUpper(out)
 	return out
 }
 
@@ -194,11 +235,7 @@ func (m *Matrix) GramOuter() *Matrix {
 	parallelTriangleRows(m.Rows, workers, func(lo, hi int) {
 		gramOuterRange(m, out, lo, hi)
 	})
-	for i := 0; i < out.Rows; i++ {
-		for j := 0; j < i; j++ {
-			out.Data[i*out.Cols+j] = out.Data[j*out.Cols+i]
-		}
-	}
+	mirrorUpper(out)
 	return out
 }
 
@@ -313,10 +350,23 @@ func (m *Matrix) ColMeans() []float64 {
 	if m.Rows == 0 {
 		return nil
 	}
-	means := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			means[j] += v
+	return m.ColMeansInto(make([]float64, m.Cols))
+}
+
+// ColMeansInto is ColMeans writing into means (length m.Cols), which it
+// returns; an empty matrix yields zeros.
+func (m *Matrix) ColMeansInto(means []float64) []float64 {
+	clear(means)
+	if m.Rows == 0 {
+		return means
+	}
+	// One flat pass with a running column index: each column still sums its
+	// rows in ascending order, without a per-row inner loop to set up.
+	j := 0
+	for _, v := range m.Data {
+		means[j] += v
+		if j++; j == len(means) {
+			j = 0
 		}
 	}
 	inv := 1 / float64(m.Rows)

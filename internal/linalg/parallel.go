@@ -17,8 +17,13 @@ const minFlopsPerWorker = 1 << 17
 // multiply-adds. It returns 1 (serial) below the threshold or on a single-P
 // machine, and never hands a worker less than minFlopsPerWorker of work.
 func kernelWorkers(flops int) int {
+	// Size first: runtime.GOMAXPROCS takes the scheduler lock, which the
+	// small kernels every scoring worker runs per candidate must not share.
+	if flops < parallelThreshold {
+		return 1
+	}
 	w := runtime.GOMAXPROCS(0)
-	if w <= 1 || flops < parallelThreshold {
+	if w <= 1 {
 		return 1
 	}
 	if cap := flops / minFlopsPerWorker; w > cap {

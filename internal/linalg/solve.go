@@ -9,11 +9,20 @@ import (
 // definite matrix a such that a = L * L^T. It returns ErrSingular when a is
 // not positive definite (within a small jitter tolerance).
 func Cholesky(a *Matrix) (*Matrix, error) {
+	l := new(Matrix)
+	if err := choleskyInto(a, l); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyInto is Cholesky writing the factor into l, which is resized.
+func choleskyInto(a, l *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("%w: cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
+		return fmt.Errorf("%w: cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	n := a.Rows
-	l := NewMatrix(n, n)
+	l.Resize(n, n)
 	for j := 0; j < n; j++ {
 		var d float64
 		lrowj := l.Row(j)
@@ -22,7 +31,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		}
 		d = a.At(j, j) - d
 		if d <= 0 {
-			return nil, fmt.Errorf("%w: pivot %d = %g", ErrSingular, j, d)
+			return fmt.Errorf("%w: pivot %d = %g", ErrSingular, j, d)
 		}
 		ljj := math.Sqrt(d)
 		lrowj[j] = ljj
@@ -36,38 +45,48 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			lrowi[j] = (a.At(i, j) - s) * inv
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveCholesky solves a * X = b for X given the Cholesky factor L of a,
 // using forward then backward substitution. b may have multiple columns.
 func SolveCholesky(l, b *Matrix) (*Matrix, error) {
+	x := new(Matrix)
+	if err := SolveCholeskyInto(l, b, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveCholeskyInto is SolveCholesky writing the solution into x, which is
+// resized to b's shape (x must not alias b).
+func SolveCholeskyInto(l, b, x *Matrix) error {
 	n := l.Rows
 	if b.Rows != n {
-		return nil, fmt.Errorf("%w: solve %dx%d with rhs %dx%d", ErrShape, n, n, b.Rows, b.Cols)
+		return fmt.Errorf("%w: solve %dx%d with rhs %dx%d", ErrShape, n, n, b.Rows, b.Cols)
 	}
-	// Forward substitution: L * Y = B.
-	y := b.Clone()
+	// Forward substitution: L * Y = B, in place on a copy of b.
+	x.Resize(b.Rows, b.Cols)
+	copy(x.Data, b.Data)
 	for i := 0; i < n; i++ {
 		li := l.Row(i)
-		yi := y.Row(i)
+		xi := x.Row(i)
 		for k := 0; k < i; k++ {
 			lik := li[k]
 			if lik == 0 {
 				continue
 			}
-			yk := y.Row(k)
-			for j := range yi {
-				yi[j] -= lik * yk[j]
+			xk := x.Row(k)
+			for j := range xi {
+				xi[j] -= lik * xk[j]
 			}
 		}
 		inv := 1 / li[i]
-		for j := range yi {
-			yi[j] *= inv
+		for j := range xi {
+			xi[j] *= inv
 		}
 	}
 	// Backward substitution: L^T * X = Y.
-	x := y
 	for i := n - 1; i >= 0; i-- {
 		xi := x.Row(i)
 		for k := i + 1; k < n; k++ {
@@ -85,7 +104,7 @@ func SolveCholesky(l, b *Matrix) (*Matrix, error) {
 			xi[j] *= inv
 		}
 	}
-	return x, nil
+	return nil
 }
 
 // ForwardSubst solves L * Y = B for lower-triangular L by forward
@@ -126,7 +145,18 @@ func ForwardSubst(l, b *Matrix) (*Matrix, error) {
 // (e.g. the ridge λ grid) can cache the returned factor and feed it to
 // SolveCholesky with many right-hand sides.
 func CholeskySPD(a *Matrix) (*Matrix, error) {
-	l, err := Cholesky(a)
+	l := new(Matrix)
+	if err := CholeskySPDInto(a, l); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// CholeskySPDInto is CholeskySPD writing the factor into l, which is
+// resized. The jittered retries are the rare path and allocate their
+// perturbed copies of a.
+func CholeskySPDInto(a, l *Matrix) error {
+	err := choleskyInto(a, l)
 	if err != nil {
 		jittered := a.Clone()
 		// Scale jitter to the matrix magnitude so it is negligible for
@@ -136,16 +166,12 @@ func CholeskySPD(a *Matrix) (*Matrix, error) {
 			scale = 1
 		}
 		jittered.AddDiag(scale * 1e-8)
-		l, err = Cholesky(jittered)
-		if err != nil {
+		if err = choleskyInto(jittered, l); err != nil {
 			jittered = a.Clone().AddDiag(scale * 1e-4)
-			l, err = Cholesky(jittered)
-			if err != nil {
-				return nil, err
-			}
+			err = choleskyInto(jittered, l)
 		}
 	}
-	return l, nil
+	return err
 }
 
 // SolveSPD solves a * X = b for a symmetric positive definite a, with the

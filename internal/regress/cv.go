@@ -3,6 +3,9 @@ package regress
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 
 	"explainit/internal/ctxpoll"
 	"explainit/internal/linalg"
@@ -28,17 +31,21 @@ type FoldRange struct {
 // TimeSeriesFoldRanges cuts n rows into k consecutive validation blocks,
 // one fold per block. Same validation rules as TimeSeriesFolds.
 func TimeSeriesFoldRanges(n, k int) ([]FoldRange, error) {
+	return appendFoldRanges(nil, n, k)
+}
+
+// appendFoldRanges appends TimeSeriesFoldRanges(n, k) to dst.
+func appendFoldRanges(dst []FoldRange, n, k int) ([]FoldRange, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("regress: need k >= 2 folds, got %d", k)
 	}
 	if n < 2*k {
 		return nil, fmt.Errorf("regress: %d rows too few for %d folds", n, k)
 	}
-	folds := make([]FoldRange, k)
 	for f := 0; f < k; f++ {
-		folds[f] = FoldRange{From: f * n / k, To: (f + 1) * n / k}
+		dst = append(dst, FoldRange{From: f * n / k, To: (f + 1) * n / k})
 	}
-	return folds, nil
+	return dst, nil
 }
 
 // TimeSeriesFolds builds k contiguous folds over n rows: the rows are cut
@@ -193,93 +200,325 @@ func CrossValidate(fit Fitter, x, y *linalg.Matrix, grid []float64, folds []Fold
 	return res, nil
 }
 
-// CrossValidateRidge is the factorization-cached ridge CV path. For each
-// fold it assembles the train matrix once from the two contiguous blocks
-// around the validation range, standardizes and Grams it once, and then
-// sweeps the λ grid at the cost of one Cholesky + triangular solve per
-// point — Θ(k) Gram computations instead of Θ(L·k). Scores are identical
-// (to float64 rounding) to CrossValidate(RidgeFitter, ...) over the
-// equivalent index folds: the per-fold arithmetic is unchanged, only the
-// λ-independent work is hoisted out of the grid loop.
+// Scratch is the working memory of one scoring goroutine: the buffers that
+// RidgeDesign.ResidualizeInto and the ridge cross-validation write into
+// instead of allocating per candidate. The zero value is ready to use. A
+// Scratch must not be shared between goroutines, and a matrix handed out
+// of it stays valid only until the next call of the same kind on it.
+type Scratch struct {
+	// ResidualizeInto.
+	centred, solved, coef, resid linalg.Matrix
+	yMeans                       []float64
+
+	// Cross-validation: fold bookkeeping, the per-segment moment blocks of
+	// the candidate, and the p x p working set of one fold's λ sweep.
+	folds      []FoldRange
+	totals     []float64
+	used       []int
+	cuts       []int
+	moments    linalg.Moments
+	segs       []linalg.MomentBlock
+	parts      []*linalg.MomentBlock
+	train, val linalg.MomentBlock
+	scale      []float64
+	gram, rhs  linalg.Matrix // standardized training Gram and Xᵀy, penalty-free
+	ridge      linalg.Matrix // gram + (λ+jitter)I
+	chol       linalg.Matrix
+	beta       linalg.Matrix // coefficients in raw (unstandardized) units
+	vbeta      linalg.Matrix // validation scatter times beta
+}
+
+// CrossValidateRidge is the ridge CV path of every scorer: fold-moment
+// cross-validation. One pass over the candidate summarizes each contiguous
+// row segment between fold boundaries as a centred moment block (row count,
+// means, XᵀX, XᵀY, diag YᵀY about the block's mean — linalg.MomentBlock).
+// A fold's training statistics are the merge of the blocks outside it, so
+// no train matrix is ever assembled, standardized or Grammed: the training
+// means and standard deviations sit in the merged block, the standardized
+// Gram and Xᵀy are a rescale of it, each λ costs one p x p Cholesky plus
+// triangular solves, and the held-out r² comes from the validation block's
+// own moments. Every row is crossed once instead of once per fold it trains.
+//
+// Scores match CrossValidate(RidgeFitter, ...) over the equivalent index
+// folds to 1e-9 (the same standardization rule, jitter policy and clamps,
+// evaluated in moment space). Folds whose training rows number fewer than
+// the features take the dual form, where the Gram is n x n and has no
+// moment-space shortcut; they keep the assemble-and-factor path, the same
+// shape switch FitRidge makes.
 func CrossValidateRidge(x, y *linalg.Matrix, grid []float64, folds []FoldRange) (CVResult, error) {
 	return CrossValidateRidgeCtx(context.Background(), x, y, grid, folds)
 }
 
 // CrossValidateRidgeCtx is CrossValidateRidge with cooperative cancellation:
-// the context is polled once per fold (the unit of non-trivial work — one
-// Gram + λ sweep), so a cancelled ranking abandons a candidate within one
-// fold's worth of compute. A cancelled run returns ctx.Err(), including for
-// a context cancelled before the first fold. The Done channel is hoisted
-// out of the fold loop (ctxpoll), so an uncancellable context costs nothing
-// per fold and a cancellable one costs a lock-free channel poll.
+// the context is polled before every segment's moment pass and every fold's
+// λ sweep (the units of non-trivial work), so a cancelled ranking abandons
+// a candidate within one fold's worth of compute. A cancelled run returns
+// ctx.Err(), including for a context cancelled before the first fold. The
+// Done channel is hoisted out of the loops (ctxpoll), so an uncancellable
+// context costs nothing and a cancellable one a lock-free channel poll.
 func CrossValidateRidgeCtx(ctx context.Context, x, y *linalg.Matrix, grid []float64, folds []FoldRange) (CVResult, error) {
+	return new(Scratch).CrossValidateRidge(ctx, x, y, grid, folds)
+}
+
+// CrossValidateRidge is CrossValidateRidgeCtx on s's buffers: with a warm
+// Scratch only the returned PerLambda slice is allocated.
+func (s *Scratch) CrossValidateRidge(ctx context.Context, x, y *linalg.Matrix, grid []float64, folds []FoldRange) (CVResult, error) {
+	if err := s.sweepFolds(ctx, x, y, grid, folds); err != nil {
+		return CVResult{}, err
+	}
+	res := CVResult{PerLambda: make([]float64, len(grid))}
+	res.BestLambda, res.Score = s.selectLambda(grid, res.PerLambda)
+	return res, nil
+}
+
+// selectLambda averages the fold scores sweepFolds left in s per grid
+// point, writes them to perLambda when non-nil, and returns the winning
+// penalty with its score (clamped at 0; grid[0] when no fold was usable).
+func (s *Scratch) selectLambda(grid, perLambda []float64) (best, score float64) {
+	best, score = grid[0], -1
+	for gi, lambda := range grid {
+		if s.used[gi] == 0 {
+			continue
+		}
+		mean := s.totals[gi] / float64(s.used[gi])
+		if perLambda != nil {
+			perLambda[gi] = mean
+		}
+		if mean > score {
+			best, score = lambda, mean
+		}
+	}
+	if score < 0 {
+		score = 0
+	}
+	return best, score
+}
+
+// sweepFolds runs the fold loop, leaving in s.totals / s.used the summed
+// held-out score and the number of usable folds per grid point.
+func (s *Scratch) sweepFolds(ctx context.Context, x, y *linalg.Matrix, grid []float64, folds []FoldRange) error {
 	if len(grid) == 0 {
-		return CVResult{}, fmt.Errorf("regress: empty lambda grid")
+		return fmt.Errorf("regress: empty lambda grid")
 	}
 	if len(folds) == 0 {
-		return CVResult{}, fmt.Errorf("regress: no folds")
+		return fmt.Errorf("regress: no folds")
 	}
 	if x.Rows != y.Rows {
-		return CVResult{}, fmt.Errorf("regress: x has %d rows, y has %d", x.Rows, y.Rows)
+		return fmt.Errorf("regress: x has %d rows, y has %d", x.Rows, y.Rows)
 	}
+	n, p := x.Rows, x.Cols
+	primal := false
+	for _, f := range folds {
+		if f.From < 0 || f.To > n || f.From >= f.To {
+			return fmt.Errorf("%w: fold [%d,%d) of %d rows", linalg.ErrShape, f.From, f.To, n)
+		}
+		if nTrain := n - (f.To - f.From); p > 0 && p <= nTrain {
+			primal = true
+		}
+	}
+	s.totals = growZeroed(s.totals, len(grid))
+	s.used = growZeroed(s.used, len(grid))
 	poll := ctxpoll.New(ctx, 1)
-	totals := make([]float64, len(grid))
-	used := make([]int, len(grid))
+	if primal {
+		if err := s.segmentMoments(&poll, x, y, folds); err != nil {
+			return err
+		}
+	}
 	for _, f := range folds {
 		if err := poll.Check(); err != nil {
-			return CVResult{}, err
+			return err
 		}
-		if f.From < 0 || f.To > x.Rows || f.From >= f.To {
-			return CVResult{}, fmt.Errorf("%w: fold [%d,%d) of %d rows", linalg.ErrShape, f.From, f.To, x.Rows)
-		}
-		xTrain := excludeRows(x, f.From, f.To)
-		yTrain := excludeRows(y, f.From, f.To)
-		xVal, err := x.SliceRows(f.From, f.To)
-		if err != nil {
-			return CVResult{}, err
-		}
-		yVal, err := y.SliceRows(f.From, f.To)
-		if err != nil {
-			return CVResult{}, err
-		}
-		design, err := NewRidgeDesign(xTrain)
-		if err != nil {
-			continue // degenerate fold: skip, not fatal (matches CrossValidate)
-		}
-		target, err := design.Prepare(yTrain)
-		if err != nil {
-			continue
-		}
-		// One prediction buffer per fold, reused across the λ grid.
-		pred := linalg.NewMatrix(xVal.Rows, y.Cols)
-		for gi, lambda := range grid {
-			model, err := target.Fit(lambda)
-			if err != nil {
-				continue
-			}
-			if err := model.PredictInto(xVal, pred); err != nil {
-				continue
-			}
-			totals[gi] += stats.ExplainedVarianceMean(yVal, pred)
-			used[gi]++
+		switch nTrain := n - (f.To - f.From); {
+		case nTrain == 0 || p == 0:
+			// Nothing to train on: skip, not fatal (matches CrossValidate).
+		case p > nTrain:
+			s.dualFold(x, y, grid, f)
+		default:
+			s.momentFold(grid, f)
 		}
 	}
-	res := CVResult{PerLambda: make([]float64, len(grid)), BestLambda: grid[0], Score: -1}
+	return nil
+}
+
+// growZeroed returns buf resliced to n zeroed elements, reallocating only
+// when its capacity is too small.
+func growZeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// segmentMoments cuts the rows at every fold boundary and summarizes each
+// resulting segment as one moment block. Time-series folds partition the
+// rows, so the segments are the folds themselves; arbitrary caller ranges
+// (gaps, overlaps) still decompose, because every fold and every fold's
+// complement is a union of segments.
+func (s *Scratch) segmentMoments(poll *ctxpoll.Poll, x, y *linalg.Matrix, folds []FoldRange) error {
+	cuts := append(s.cuts[:0], 0, x.Rows)
+	for _, f := range folds {
+		cuts = append(cuts, f.From, f.To)
+	}
+	sort.Ints(cuts)
+	s.cuts = slices.Compact(cuts)
+	for len(s.segs) < len(s.cuts)-1 {
+		s.segs = append(s.segs, linalg.MomentBlock{})
+	}
+	s.moments.Reset(x, y)
+	for i := 0; i+1 < len(s.cuts); i++ {
+		if err := poll.Check(); err != nil {
+			return err
+		}
+		s.moments.Block(s.cuts[i], s.cuts[i+1], &s.segs[i])
+	}
+	return nil
+}
+
+// momentFold scores one primal-regime fold in moment space and adds its
+// per-λ held-out score to s.totals.
+func (s *Scratch) momentFold(grid []float64, f FoldRange) {
+	// Segments never straddle a fold boundary: each lies wholly inside the
+	// validation range or wholly outside it.
+	parts := s.parts[:0]
+	for i := 0; i+1 < len(s.cuts); i++ {
+		if s.cuts[i] < f.From || s.cuts[i] >= f.To {
+			parts = append(parts, &s.segs[i])
+		}
+	}
+	nOutside := len(parts)
+	for i := 0; i+1 < len(s.cuts); i++ {
+		if s.cuts[i] >= f.From && s.cuts[i] < f.To {
+			parts = append(parts, &s.segs[i])
+		}
+	}
+	s.parts = parts
+	tr, vl := &s.train, parts[nOutside]
+	tr.Merge(parts[:nOutside])
+	if len(parts) > nOutside+1 {
+		vl = &s.val
+		vl.Merge(parts[nOutside:])
+	}
+
+	// The standardized training Gram and Xᵀy are a rescale of the centred
+	// scatter: variances sit on its diagonal, and the divisor rule is
+	// StandardizeColumns' (near-constant columns are centred, not scaled).
+	p, q := tr.XX.Rows, tr.XY.Cols
+	s.scale = growZeroed(s.scale, p)
+	for j := range s.scale {
+		s.scale[j] = effStd(math.Sqrt(tr.XX.At(j, j) / float64(tr.N)))
+	}
+	gram, rhs := s.gram.Resize(p, p), s.rhs.Resize(p, q)
+	for i := 0; i < p; i++ {
+		src, dst := tr.XX.Row(i), gram.Row(i)
+		for j, v := range src {
+			dst[j] = v / (s.scale[i] * s.scale[j])
+		}
+		src, dst = tr.XY.Row(i), rhs.Row(i)
+		for j, v := range src {
+			dst[j] = v / s.scale[i]
+		}
+	}
 	for gi, lambda := range grid {
-		if used[gi] == 0 {
+		if lambda < 0 {
+			continue // unusable grid point: skip, as a failed fit is
+		}
+		ridge := s.ridge.Resize(p, p)
+		copy(ridge.Data, gram.Data)
+		ridge.AddDiag(lambda + 1e-10)
+		if err := linalg.CholeskySPDInto(ridge, &s.chol); err != nil {
 			continue
 		}
-		score := totals[gi] / float64(used[gi])
-		res.PerLambda[gi] = score
-		if score > res.Score {
-			res.Score = score
-			res.BestLambda = lambda
+		if err := linalg.SolveCholeskyInto(&s.chol, rhs, &s.beta); err != nil {
+			continue
+		}
+		for i := 0; i < p; i++ {
+			row := s.beta.Row(i)
+			for j := range row {
+				row[j] /= s.scale[i]
+			}
+		}
+		s.totals[gi] += s.heldOutScore(tr, vl)
+		s.used[gi]++
+	}
+}
+
+// heldOutScore is stats.ExplainedVarianceMean of the validation rows under
+// the model (train means, s.beta), evaluated from moments. The residual of
+// validation row i splits as u_i + off, where u_i = (y_i − ȳ_v) − βᵀ(x_i −
+// x̄_v) sums to zero over the fold and off = (ȳ_v − ȳ_t) − βᵀ(x̄_v − x̄_t)
+// is the fold mean's own prediction error, so
+//
+//	rss = [Σ(y−ȳ_v)² − 2βᵀΣ(x−x̄_v)(y−ȳ_v) + βᵀΣ(x−x̄_v)(x−x̄_v)ᵀβ] + n_v·off²
+//
+// — a quadratic form in the validation scatter plus a non-negative offset
+// term — and tss is the validation block's Σ(y−ȳ_v)² itself.
+func (s *Scratch) heldOutScore(tr, vl *linalg.MomentBlock) float64 {
+	p, q := s.beta.Rows, s.beta.Cols
+	if q == 0 {
+		return 0
+	}
+	if err := vl.XX.MulInto(&s.beta, &s.vbeta); err != nil {
+		return 0
+	}
+	var total float64
+	for c := 0; c < q; c++ {
+		tss := vl.YY[c]
+		if tss <= 0 {
+			continue
+		}
+		off := vl.MeanYFrom(tr, c)
+		rss := tss
+		for j := 0; j < p; j++ {
+			b := s.beta.At(j, c)
+			off -= b * vl.MeanXFrom(tr, j)
+			rss += b * (s.vbeta.At(j, c) - 2*vl.XY.At(j, c))
+		}
+		rss += float64(vl.N) * off * off
+		if r2 := 1 - rss/tss; r2 > 1 {
+			total++
+		} else if r2 > 0 {
+			total += r2
 		}
 	}
-	if res.Score < 0 {
-		res.Score = 0
+	return total / float64(q)
+}
+
+// dualFold scores one fold whose training rows number fewer than the
+// features: the train matrix is assembled from the two contiguous blocks
+// around the validation range, standardized and outer-Grammed once, and
+// the λ grid swept at one Cholesky + triangular solve per point.
+func (s *Scratch) dualFold(x, y *linalg.Matrix, grid []float64, f FoldRange) {
+	xVal, err := x.SliceRows(f.From, f.To)
+	if err != nil {
+		return
 	}
-	return res, nil
+	yVal, err := y.SliceRows(f.From, f.To)
+	if err != nil {
+		return
+	}
+	design, err := NewRidgeDesign(excludeRows(x, f.From, f.To))
+	if err != nil {
+		return // degenerate fold: skip, not fatal (matches CrossValidate)
+	}
+	target, err := design.Prepare(excludeRows(y, f.From, f.To))
+	if err != nil {
+		return
+	}
+	// One prediction buffer per fold, reused across the λ grid.
+	pred := linalg.NewMatrix(xVal.Rows, y.Cols)
+	for gi, lambda := range grid {
+		model, err := target.Fit(lambda)
+		if err != nil {
+			continue
+		}
+		if err := model.PredictInto(xVal, pred); err != nil {
+			continue
+		}
+		s.totals[gi] += stats.ExplainedVarianceMean(yVal, pred)
+		s.used[gi]++
+	}
 }
 
 // excludeRows copies all rows of m except the block [from, to) into a new
@@ -302,17 +541,23 @@ func CrossValidatedScore(x, y *linalg.Matrix, grid []float64, k int) (float64, e
 // CrossValidatedScoreCtx is CrossValidatedScore with per-fold cooperative
 // cancellation (see CrossValidateRidgeCtx).
 func CrossValidatedScoreCtx(ctx context.Context, x, y *linalg.Matrix, grid []float64, k int) (float64, error) {
+	return new(Scratch).CrossValidatedScore(ctx, x, y, grid, k)
+}
+
+// CrossValidatedScore is CrossValidatedScoreCtx on s's buffers: with a warm
+// Scratch the CV path allocates nothing.
+func (s *Scratch) CrossValidatedScore(ctx context.Context, x, y *linalg.Matrix, grid []float64, k int) (float64, error) {
 	if len(grid) == 0 {
 		grid = DefaultLambdaGrid
 	}
 	// One hoisted poll instead of ctx.Err(): the pre-fold check inside
-	// CrossValidateRidgeCtx covers the common path; this entry check keeps
-	// the too-few-rows fallback (which never reaches the fold loop) prompt.
+	// sweepFolds covers the common path; this entry check keeps the
+	// too-few-rows fallback (which never reaches the fold loop) prompt.
 	entry := ctxpoll.New(ctx, 1)
 	if err := entry.Check(); err != nil {
 		return 0, err
 	}
-	folds, err := TimeSeriesFoldRanges(x.Rows, k)
+	folds, err := appendFoldRanges(s.folds[:0], x.Rows, k)
 	if err != nil {
 		// Too little data for CV: fit once and adjust for predictors.
 		model, ferr := FitRidge(x, y, grid[len(grid)/2])
@@ -330,9 +575,10 @@ func CrossValidatedScoreCtx(ctx context.Context, x, y *linalg.Matrix, grid []flo
 		}
 		return adj, nil
 	}
-	res, err := CrossValidateRidgeCtx(ctx, x, y, grid, folds)
-	if err != nil {
+	s.folds = folds
+	if err := s.sweepFolds(ctx, x, y, grid, folds); err != nil {
 		return 0, err
 	}
-	return res.Score, nil
+	_, score := s.selectLambda(grid, nil)
+	return score, nil
 }

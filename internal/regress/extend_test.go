@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"explainit/internal/linalg"
@@ -135,15 +136,11 @@ func TestExtendDesignReusesParentFactor(t *testing.T) {
 	if _, err := ext.factor(lambda); err != nil {
 		t.Fatal(err)
 	}
-	prev.mu.Lock()
-	l11, ok := prev.factors[lambda]
-	prev.mu.Unlock()
-	if !ok {
+	l11 := prev.cachedFactor(lambda)
+	if l11 == nil {
 		t.Fatal("extending did not populate the parent factor cache")
 	}
-	ext.mu.Lock()
-	l := ext.factors[lambda]
-	ext.mu.Unlock()
+	l := ext.cachedFactor(lambda)
 	// The prefix block of the extended factor must be the parent's factor
 	// verbatim (copied, not recomputed — bitwise equal).
 	for i := 0; i < l11.Rows; i++ {
@@ -210,5 +207,56 @@ func TestCrossValidateRidgeCtxCancel(t *testing.T) {
 	}
 	if _, err := CrossValidatedScoreCtx(ctx, x, y, nil, 5); err != context.Canceled {
 		t.Fatalf("score: got %v, want context.Canceled", err)
+	}
+}
+
+// TestFactorCacheConcurrent: scoring workers hit a shared design's factor
+// cache from many goroutines at once. Every penalty must be factored
+// exactly once (all callers see one factor per λ) on a design and on the
+// parent it extends, with no lock on the hit path for the race detector to
+// find fault with.
+func TestFactorCacheConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, goroutines = 60, 8
+	prev, err := NewRidgeDesign(randMatrix(rng, n, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := ExtendDesign(prev, randMatrix(rng, n, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]*linalg.Matrix, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				for _, lambda := range WideLambdaGrid {
+					l, err := ext.factor(lambda)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if round == 0 {
+						got[g] = append(got[g], l)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		for i := range WideLambdaGrid {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("goroutine %d got its own factor for λ=%g", g, WideLambdaGrid[i])
+			}
+		}
+	}
+	for _, d := range []*RidgeDesign{prev, ext} {
+		if cached := len(*d.factors.Load()); cached != len(WideLambdaGrid) {
+			t.Fatalf("%d factors cached for %d penalties", cached, len(WideLambdaGrid))
+		}
 	}
 }

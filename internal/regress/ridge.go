@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"explainit/internal/linalg"
 )
@@ -183,8 +184,29 @@ type RidgeDesign struct {
 	parent     *RidgeDesign
 	parentCols int
 
+	// factors is an immutable snapshot of the per-λ Cholesky factors of
+	// gram + (λ+jitter)I: readers load it without locking; a miss computes
+	// the factor under mu and publishes a copy with the new entry appended.
+	// The grid is a handful of penalties, so a linear scan beats a map.
 	mu      sync.Mutex
-	factors map[float64]*linalg.Matrix // λ -> Cholesky factor of gram + (λ+jitter)I
+	factors atomic.Pointer[[]lambdaFactor]
+}
+
+type lambdaFactor struct {
+	lambda float64
+	l      *linalg.Matrix
+}
+
+// cachedFactor scans the current snapshot for lambda.
+func (d *RidgeDesign) cachedFactor(lambda float64) *linalg.Matrix {
+	if snap := d.factors.Load(); snap != nil {
+		for _, f := range *snap {
+			if f.lambda == lambda {
+				return f.l
+			}
+		}
+	}
+	return nil
 }
 
 // NewRidgeDesign standardizes x once and computes its (outer) Gram once.
@@ -195,11 +217,10 @@ func NewRidgeDesign(x *linalg.Matrix) (*RidgeDesign, error) {
 	xs := x.Clone()
 	xMeans, xStds := xs.StandardizeColumns()
 	d := &RidgeDesign{
-		xs:      xs,
-		xMeans:  xMeans,
-		xStds:   xStds,
-		primal:  xs.Cols <= xs.Rows,
-		factors: make(map[float64]*linalg.Matrix),
+		xs:     xs,
+		xMeans: xMeans,
+		xStds:  xStds,
+		primal: xs.Cols <= xs.Rows,
 	}
 	if d.primal {
 		d.gram = xs.Gram()
@@ -220,15 +241,20 @@ func (d *RidgeDesign) Cols() int { return d.xs.Cols }
 // applies, so the factor is bit-identical to what a fresh fit would use.
 // An extended design (ExtendDesign) first tries the one-block incremental
 // factorization against its parent's cached factor and only falls back to
-// factoring the whole matrix when that fails.
+// factoring the whole matrix when that fails. A cached penalty — every
+// call after the first, from every scoring worker — is a lock-free read;
+// misses serialize on mu, so each factor is still computed exactly once.
 func (d *RidgeDesign) factor(lambda float64) (*linalg.Matrix, error) {
 	if lambda < 0 {
 		return nil, fmt.Errorf("regress: negative lambda %g", lambda)
 	}
+	if l := d.cachedFactor(lambda); l != nil {
+		return l, nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if l, ok := d.factors[lambda]; ok {
-		return l, nil
+	if l := d.cachedFactor(lambda); l != nil {
+		return l, nil // another goroutine factored it while we waited
 	}
 	var l *linalg.Matrix
 	if d.parent != nil {
@@ -242,7 +268,12 @@ func (d *RidgeDesign) factor(lambda float64) (*linalg.Matrix, error) {
 			return nil, err
 		}
 	}
-	d.factors[lambda] = l
+	var next []lambdaFactor
+	if snap := d.factors.Load(); snap != nil {
+		next = append(next, *snap...)
+	}
+	next = append(next, lambdaFactor{lambda, l})
+	d.factors.Store(&next)
 	return l, nil
 }
 
@@ -273,7 +304,7 @@ func (d *RidgeDesign) extendFactor(lambda float64) *linalg.Matrix {
 	}
 	s := linalg.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
-		copy(s.Row(i), d.gram.Row(p1+i)[p1:])
+		copy(s.Row(i), d.gram.Row(p1 + i)[p1:])
 	}
 	s.AddDiag(lambda + 1e-10)
 	yty := y.Gram()
@@ -366,7 +397,6 @@ func ExtendDesign(prev *RidgeDesign, xNew *linalg.Matrix) (*RidgeDesign, error) 
 		gram:       gram,
 		parent:     prev,
 		parentCols: p1,
-		factors:    make(map[float64]*linalg.Matrix),
 	}, nil
 }
 
@@ -407,20 +437,49 @@ func (d *RidgeDesign) Fit(y *linalg.Matrix, lambda float64) (*Model, error) {
 // standardized X, so no per-call standardization or Gram is needed —
 // this is the scorer's conditioning step (§3.5) done once per Z.
 func (d *RidgeDesign) Residualize(y *linalg.Matrix, lambda float64) (*linalg.Matrix, error) {
-	model, err := d.Fit(y, lambda)
+	return d.ResidualizeInto(y, lambda, new(Scratch))
+}
+
+// ResidualizeInto is Residualize on s's buffers: the centred target, the
+// solve, the prediction and the returned residual matrix all live in s, so
+// a warm Scratch residualizes a candidate without allocating. The result
+// is valid until the next ResidualizeInto on s. The arithmetic is that of
+// Fit followed by y − (Xβ + ȳ), term for term.
+func (d *RidgeDesign) ResidualizeInto(y *linalg.Matrix, lambda float64, s *Scratch) (*linalg.Matrix, error) {
+	if y.Rows != d.xs.Rows {
+		return nil, fmt.Errorf("regress: x has %d rows, y has %d", d.xs.Rows, y.Rows)
+	}
+	l, err := d.factor(lambda)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := d.xs.Mul(model.Coef)
+	s.yMeans = y.ColMeansInto(growZeroed(s.yMeans, y.Cols))
+	ys := s.centred.Resize(y.Rows, y.Cols)
+	copy(ys.Data, y.Data)
+	ys.CenterColumns(s.yMeans)
+	if d.primal {
+		// β = (XᵀX + λI)⁻¹ Xᵀy.
+		if err = d.xs.MulTInto(ys, &s.solved); err == nil {
+			err = linalg.SolveCholeskyInto(l, &s.solved, &s.coef)
+		}
+	} else {
+		// β = Xᵀ (XXᵀ + λI)⁻¹ y.
+		if err = linalg.SolveCholeskyInto(l, ys, &s.solved); err == nil {
+			err = d.xs.MulTInto(&s.solved, &s.coef)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := y.Clone()
+	pred := &s.solved
+	if err := d.xs.MulInto(&s.coef, pred); err != nil {
+		return nil, err
+	}
+	out := s.resid.Resize(y.Rows, y.Cols)
 	for i := 0; i < out.Rows; i++ {
-		orow := out.Row(i)
-		prow := pred.Row(i)
+		orow, yrow, prow := out.Row(i), y.Row(i), pred.Row(i)
 		for j := range orow {
-			orow[j] -= prow[j] + model.YMeans[j]
+			orow[j] = yrow[j] - (prow[j] + s.yMeans[j])
 		}
 	}
 	return out, nil

@@ -115,12 +115,11 @@ func ExtendDesignRows(prev *RidgeDesign, prevRaw, grown *linalg.Matrix) (*RidgeD
 
 	xs := grown.Clone().ApplyStandardization(m2, s2)
 	return &RidgeDesign{
-		xs:      xs,
-		xMeans:  m2,
-		xStds:   s2,
-		primal:  p <= n2,
-		gram:    gram,
-		factors: make(map[float64]*linalg.Matrix),
+		xs:     xs,
+		xMeans: m2,
+		xStds:  s2,
+		primal: p <= n2,
+		gram:   gram,
 	}, true, nil
 }
 

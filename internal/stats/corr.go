@@ -186,10 +186,8 @@ func ExplainedVarianceMean(y, yhat *linalg.Matrix) float64 {
 		return 0
 	}
 	var total float64
-	ybuf := make([]float64, y.Rows)
-	pbuf := make([]float64, y.Rows)
 	for j := 0; j < y.Cols; j++ {
-		r2 := RSquared(y.ColInto(j, ybuf), yhat.ColInto(j, pbuf))
+		r2 := strideRSquared(y.Data, yhat.Data, j, y.Cols)
 		if r2 < 0 {
 			r2 = 0
 		}
@@ -199,4 +197,31 @@ func ExplainedVarianceMean(y, yhat *linalg.Matrix) float64 {
 		total += r2
 	}
 	return total / float64(y.Cols)
+}
+
+// strideRSquared is RSquared over column j of two row-major buffers of the
+// given row stride, read in place. The accumulation order per column is
+// RSquared's (mean, then rss and tss, rows ascending), so the result is
+// bitwise the one RSquared returns on extracted columns.
+func strideRSquared(y, yhat []float64, j, stride int) float64 {
+	n := len(y) / stride
+	if n == 0 {
+		return 0
+	}
+	var sum float64
+	for i := j; i < len(y); i += stride {
+		sum += y[i]
+	}
+	my := sum / float64(n)
+	var rss, tss float64
+	for i := j; i < len(y); i += stride {
+		r := y[i] - yhat[i]
+		rss += r * r
+		d := y[i] - my
+		tss += d * d
+	}
+	if tss <= 0 {
+		return 0
+	}
+	return 1 - rss/tss
 }

@@ -186,4 +186,19 @@ func TestExplainedVarianceMean(t *testing.T) {
 	if ExplainedVarianceMean(y, linalg.NewMatrix(3, 2)) != 0 {
 		t.Fatal("shape mismatch must yield 0")
 	}
+	// The in-place strided pass must be RSquared on extracted columns, bit
+	// for bit, clamps included.
+	rng := rand.New(rand.NewSource(4))
+	obs, pred := linalg.GaussianMatrix(rng, 57, 5), linalg.GaussianMatrix(rng, 57, 5)
+	for i := 0; i < obs.Rows; i++ {
+		pred.Set(i, 1, obs.At(i, 1)+0.1*pred.At(i, 1)) // one good column among poor ones
+		obs.Set(i, 3, 2)                               // one constant column
+	}
+	var want float64
+	for j := 0; j < obs.Cols; j++ {
+		want += math.Min(1, math.Max(0, RSquared(obs.Col(j), pred.Col(j))))
+	}
+	if got := ExplainedVarianceMean(obs, pred); got != want/float64(obs.Cols) {
+		t.Fatalf("strided pass %v, column-wise reference %v", got, want/float64(obs.Cols))
+	}
 }
