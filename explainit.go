@@ -200,6 +200,7 @@ func (c *Client) BuildFamilies(groupBy string, from, to time.Time, step time.Dur
 	default:
 		return nil, fmt.Errorf("%w %q (use \"name\" or \"tag:<key>\")", ErrUnknownGrouping, groupBy)
 	}
+	start := time.Now()
 	series, err := c.db.Run(tsdb.Query{Range: ts.TimeRange{From: from, To: to}})
 	if err != nil {
 		return nil, err
@@ -208,12 +209,11 @@ func (c *Client) BuildFamilies(groupBy string, from, to time.Time, step time.Dur
 	if err != nil {
 		return nil, err
 	}
-	c.famMu.Lock()
-	c.families = make(map[string]*core.Family, len(fams))
-	c.famOrder = c.famOrder[:0]
-	c.famGen++
-	c.famMu.Unlock()
-	return c.registerFamilies(fams), nil
+	infos := c.registerFamilies(fams, true)
+	metBuildFamiliesMs.ObserveSince(start)
+	metBuildSeries.Add(uint64(len(series)))
+	metBuildFamilies.Add(uint64(len(fams)))
+	return infos, nil
 }
 
 // DefineFamiliesSQL adds families produced by a SQL query over the store.
@@ -236,12 +236,20 @@ func (c *Client) DefineFamiliesSQL(query, timeCol, keyCol string, from, to time.
 	if err != nil {
 		return nil, err
 	}
-	return c.registerFamilies(fams), nil
+	return c.registerFamilies(fams, false), nil
 }
 
-func (c *Client) registerFamilies(fams []*core.Family) []FamilyInfo {
+// registerFamilies installs fams in the registry, replacing same-named
+// families, or with replace the whole registry. Either way it is one
+// critical section and one generation bump, so a concurrent lookup sees
+// the old registry or the new one, never a cleared one in between.
+func (c *Client) registerFamilies(fams []*core.Family, replace bool) []FamilyInfo {
 	c.famMu.Lock()
 	defer c.famMu.Unlock()
+	if replace {
+		c.families = make(map[string]*core.Family, len(fams))
+		c.famOrder = nil
+	}
 	c.famGen++
 	infos := make([]FamilyInfo, 0, len(fams))
 	for _, f := range fams {

@@ -30,7 +30,7 @@ func (c *Client) Lag(family string, lags ...int) error {
 	if err != nil {
 		return err
 	}
-	c.registerFamilies([]*core.Family{lagged})
+	c.registerFamilies([]*core.Family{lagged}, false)
 	return nil
 }
 

@@ -23,9 +23,12 @@ import (
 // sharing one time index.
 type Family struct {
 	Name    string
-	Columns []string    // one identifier per feature column
-	Index   []time.Time // shared time grid (may be nil for raw matrices)
-	Matrix  *linalg.Matrix
+	Columns []string // one identifier per feature column
+	// Index is the time grid (nil for raw matrices). Every family of one
+	// build shares the same backing array, so it is read-only: never write
+	// to it, and sub-slice (as SliceRows does) rather than copy.
+	Index  []time.Time
+	Matrix *linalg.Matrix
 
 	// The Score Table's viz column depends only on the family, so it is
 	// rendered on first use and reused by every ranking that scores it. A
@@ -91,8 +94,29 @@ func GroupByTag(key string) GroupFunc {
 
 // BuildFamilies aligns series onto a regular grid over r at the given step,
 // interpolates gaps, and groups columns into families using groupBy.
-// Families are returned sorted by name for determinism.
+// Families are returned sorted by name for determinism; all of them share
+// one grid (see Family.Index).
 func BuildFamilies(series []*ts.Series, groupBy GroupFunc, r ts.TimeRange, step time.Duration) ([]*Family, error) {
+	names, groups := groupSeries(series, groupBy)
+	families := make([]*Family, 0, len(names))
+	if len(names) == 0 {
+		return families, nil
+	}
+	grid, err := ts.NewGrid(r, step)
+	if err != nil {
+		return nil, fmt.Errorf("core: aligning family %q: %w", names[0], err)
+	}
+	for _, name := range names {
+		if fam := materialise(grid, name, groups[name]); fam != nil {
+			families = append(families, fam)
+		}
+	}
+	return families, nil
+}
+
+// groupSeries buckets series by family name in arrival order, dropping
+// those groupBy maps to "", and returns the names sorted.
+func groupSeries(series []*ts.Series, groupBy GroupFunc) ([]string, map[string][]*ts.Series) {
 	groups := make(map[string][]*ts.Series)
 	var names []string
 	for _, s := range series {
@@ -106,26 +130,28 @@ func BuildFamilies(series []*ts.Series, groupBy GroupFunc, r ts.TimeRange, step 
 		groups[g] = append(groups[g], s)
 	}
 	sort.Strings(names)
-	families := make([]*Family, 0, len(names))
-	for _, name := range names {
-		frame, err := ts.Align(groups[name], r, step)
-		if err != nil {
-			return nil, fmt.Errorf("core: aligning family %q: %w", name, err)
-		}
-		frame, _ = frame.DropAllNaNColumns()
-		if frame.NumCols() == 0 {
-			continue
-		}
-		frame.Interpolate()
-		fam := &Family{
-			Name:    name,
-			Columns: frame.Columns,
-			Index:   frame.Index,
-			Matrix:  frame.Matrix(),
-		}
-		families = append(families, fam)
+	return names, groups
+}
+
+// materialise builds one family from its series on the build's shared grid:
+// the samples are averaged straight into the family's matrix, all-missing
+// columns dropped and gaps filled in place. It returns nil when no series
+// has an observation in range.
+func materialise(grid *ts.Grid, name string, series []*ts.Series) *Family {
+	data, keep := grid.Dense(series)
+	if len(keep) == 0 {
+		return nil
 	}
-	return families, nil
+	cols := make([]string, len(keep))
+	for nj, j := range keep {
+		cols[nj] = series[j].ID()
+	}
+	return &Family{
+		Name:    name,
+		Columns: cols,
+		Index:   grid.Index,
+		Matrix:  &linalg.Matrix{Rows: grid.Rows(), Cols: len(keep), Data: data},
+	}
 }
 
 // FamilyFromColumns builds a family directly from named columns of values
@@ -154,15 +180,42 @@ func FamilyFromColumns(name string, cols map[string][]float64) (*Family, error) 
 // Family Table of Figure 4. Missing (time, key) combinations are
 // interpolated to the closest observation.
 func FamiliesFromRelation(rel *sqlexec.Relation, timeCol, keyCol string, r ts.TimeRange, step time.Duration) ([]*Family, error) {
+	famNames, groups, err := pivotRelation(rel, timeCol, keyCol)
+	if err != nil {
+		return nil, err
+	}
+	var families []*Family
+	if len(famNames) == 0 {
+		return families, nil
+	}
+	grid, err := ts.NewGrid(r, step)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range famNames {
+		display := name
+		if display == "" {
+			display = "*"
+		}
+		if fam := materialise(grid, display, groups[name]); fam != nil {
+			families = append(families, fam)
+		}
+	}
+	return families, nil
+}
+
+// pivotRelation turns a relation into one sorted synthetic series per
+// (key, feature) pair, grouped by key; the keys are returned sorted.
+func pivotRelation(rel *sqlexec.Relation, timeCol, keyCol string) ([]string, map[string][]*ts.Series, error) {
 	tIdx := rel.ColumnIndex("", timeCol)
 	if tIdx < 0 {
-		return nil, fmt.Errorf("core: relation has no time column %q", timeCol)
+		return nil, nil, fmt.Errorf("core: relation has no time column %q", timeCol)
 	}
 	kIdx := -1
 	if keyCol != "" {
 		kIdx = rel.ColumnIndex("", keyCol)
 		if kIdx < 0 {
-			return nil, fmt.Errorf("core: relation has no key column %q", keyCol)
+			return nil, nil, fmt.Errorf("core: relation has no key column %q", keyCol)
 		}
 	}
 	// Feature columns: everything except time and key.
@@ -176,9 +229,9 @@ func FamiliesFromRelation(rel *sqlexec.Relation, timeCol, keyCol string, r ts.Ti
 		featNames = append(featNames, c)
 	}
 	if len(featIdx) == 0 {
-		return nil, fmt.Errorf("core: relation has no feature columns")
+		return nil, nil, fmt.Errorf("core: relation has no feature columns")
 	}
-	// Build one synthetic series per (key, feature) pair, then align.
+	// Build one synthetic series per (key, feature) pair.
 	seriesByID := make(map[string]*ts.Series)
 	var order []string
 	for _, row := range rel.Rows {
@@ -231,29 +284,7 @@ func FamiliesFromRelation(rel *sqlexec.Relation, timeCol, keyCol string, r ts.Ti
 		groups[key] = append(groups[key], s)
 	}
 	sort.Strings(famNames)
-	var families []*Family
-	for _, name := range famNames {
-		frame, err := ts.Align(groups[name], r, step)
-		if err != nil {
-			return nil, err
-		}
-		frame, _ = frame.DropAllNaNColumns()
-		if frame.NumCols() == 0 {
-			continue
-		}
-		frame.Interpolate()
-		display := name
-		if display == "" {
-			display = "*"
-		}
-		families = append(families, &Family{
-			Name:    display,
-			Columns: frame.Columns,
-			Index:   frame.Index,
-			Matrix:  frame.Matrix(),
-		})
-	}
-	return families, nil
+	return famNames, groups, nil
 }
 
 // ConcatFamilies merges several families into one (for multi-family Z

@@ -68,144 +68,15 @@ func (f *Frame) Matrix() *linalg.Matrix {
 	return m
 }
 
-// TimeGrid builds a regular grid over [r.From, r.To) at the given step.
-func TimeGrid(r TimeRange, step time.Duration) []time.Time {
-	if step <= 0 || !r.To.After(r.From) {
-		return nil
-	}
-	n := int(r.To.Sub(r.From) / step)
-	grid := make([]time.Time, 0, n)
-	for ts := r.From; ts.Before(r.To); ts = ts.Add(step) {
-		grid = append(grid, ts)
-	}
-	return grid
-}
-
-// Align places the given series onto a regular grid over r with the given
-// step. Each sample is bucketed to its flooring grid point; multiple samples
-// in a bucket are averaged. Grid points with no samples are NaN.
-func Align(series []*Series, r TimeRange, step time.Duration) (*Frame, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("timeseries: non-positive step %v", step)
-	}
-	grid := TimeGrid(r, step)
-	cols := make([]string, len(series))
-	for j, s := range series {
-		cols[j] = s.ID()
-	}
-	f := NewFrame(grid, cols)
-	if len(grid) == 0 {
-		return f, nil
-	}
-	counts := make([]int, len(grid)*len(cols))
-	for j, s := range series {
-		for _, smp := range s.Slice(r) {
-			i := int(smp.TS.Sub(r.From) / step)
-			if i < 0 || i >= len(grid) {
-				continue
-			}
-			idx := i*len(cols) + j
-			if counts[idx] == 0 {
-				f.values[idx] = smp.Value
-			} else {
-				f.values[idx] += smp.Value
-			}
-			counts[idx]++
-		}
-	}
-	for idx, c := range counts {
-		if c > 1 {
-			f.values[idx] /= float64(c)
-		}
-	}
-	return f, nil
-}
-
 // Interpolate fills NaN gaps per column with the closest non-null
 // observation (nearest-neighbour, ties resolved toward the earlier sample),
 // matching the missing-value policy in Appendix C of the paper. Columns that
 // are entirely NaN are filled with zero.
 func (f *Frame) Interpolate() {
-	n, c := f.Rows(), f.NumCols()
-	for j := 0; j < c; j++ {
-		// Collect indices of observed values.
-		obs := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if !math.IsNaN(f.At(i, j)) {
-				obs = append(obs, i)
-			}
-		}
-		if len(obs) == 0 {
-			for i := 0; i < n; i++ {
-				f.Set(i, j, 0)
-			}
-			continue
-		}
-		if len(obs) == n {
-			continue
-		}
-		k := 0 // index into obs of the nearest observation at or before i
-		for i := 0; i < n; i++ {
-			if !math.IsNaN(f.At(i, j)) {
-				continue
-			}
-			for k+1 < len(obs) && obs[k+1] < i {
-				k++
-			}
-			// Candidates: obs[k] (could be after i when i precedes all
-			// observations) and the next observation.
-			best := obs[k]
-			if k+1 < len(obs) {
-				next := obs[k+1]
-				if abs(next-i) < abs(best-i) {
-					best = next
-				}
-			}
-			f.Set(i, j, f.At(best, j))
-		}
-	}
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// DropAllNaNColumns returns a new frame without columns that have no
-// observed values, along with the names of the dropped columns.
-func (f *Frame) DropAllNaNColumns() (*Frame, []string) {
-	keep := make([]int, 0, f.NumCols())
-	var dropped []string
+	var obs []int
 	for j := 0; j < f.NumCols(); j++ {
-		allNaN := true
-		for i := 0; i < f.Rows(); i++ {
-			if !math.IsNaN(f.At(i, j)) {
-				allNaN = false
-				break
-			}
-		}
-		if allNaN {
-			dropped = append(dropped, f.Columns[j])
-		} else {
-			keep = append(keep, j)
-		}
+		obs = fillNearest(f.values, f.Rows(), f.NumCols(), j, obs)
 	}
-	if len(dropped) == 0 {
-		return f, nil
-	}
-	cols := make([]string, len(keep))
-	for nj, j := range keep {
-		cols[nj] = f.Columns[j]
-	}
-	out := NewFrame(f.Index, cols)
-	for i := 0; i < f.Rows(); i++ {
-		for nj, j := range keep {
-			out.Set(i, nj, f.At(i, j))
-		}
-	}
-	return out, dropped
 }
 
 // SliceRange returns a sub-frame restricted to rows whose timestamps fall in

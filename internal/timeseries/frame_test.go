@@ -94,23 +94,6 @@ func TestInterpolateAllNaNColumn(t *testing.T) {
 	}
 }
 
-func TestDropAllNaNColumns(t *testing.T) {
-	f := NewFrame(TimeGrid(TimeRange{From: t0, To: t0.Add(2 * time.Minute)}, time.Minute), []string{"keep", "drop"})
-	f.Set(0, 0, 1)
-	f.Set(1, 0, 2)
-	out, dropped := f.DropAllNaNColumns()
-	if len(dropped) != 1 || dropped[0] != "drop" {
-		t.Fatalf("dropped %v", dropped)
-	}
-	if out.NumCols() != 1 || out.At(1, 0) != 2 {
-		t.Fatal("kept column corrupted")
-	}
-	same, none := out.DropAllNaNColumns()
-	if none != nil || same.NumCols() != 1 {
-		t.Fatal("no-op drop must return frame unchanged")
-	}
-}
-
 func TestFrameMatrix(t *testing.T) {
 	f := NewFrame(TimeGrid(TimeRange{From: t0, To: t0.Add(2 * time.Minute)}, time.Minute), []string{"a", "b"})
 	f.Set(0, 0, 1)

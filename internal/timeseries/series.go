@@ -7,6 +7,7 @@ package timeseries
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -31,12 +32,30 @@ func (t Tags) String() string {
 	if len(t) == 0 {
 		return "{}"
 	}
-	keys := make([]string, 0, len(t))
-	for k := range t {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
+	t.writeTo(&b, "")
+	return b.String()
+}
+
+// writeTo writes prefix followed by t's String rendering onto b, growing b
+// once for both.
+func (t Tags) writeTo(b *strings.Builder, prefix string) {
+	if len(t) == 0 {
+		b.Grow(len(prefix) + 2)
+		b.WriteString(prefix)
+		b.WriteString("{}")
+		return
+	}
+	var buf [8]string // keeps the sort off the heap for typical tag sets
+	keys := buf[:0]
+	size := len(prefix) + 1 // the braces, less one separator
+	for k, v := range t {
+		keys = append(keys, k)
+		size += len(k) + len(v) + 2
+	}
+	slices.Sort(keys)
+	b.Grow(size)
+	b.WriteString(prefix)
 	b.WriteByte('{')
 	for i, k := range keys {
 		if i > 0 {
@@ -47,7 +66,6 @@ func (t Tags) String() string {
 		b.WriteString(t[k])
 	}
 	b.WriteByte('}')
-	return b.String()
 }
 
 // Matches reports whether every key/value pair in filter is present in t.
@@ -74,7 +92,11 @@ type Series struct {
 }
 
 // ID returns a canonical identifier "name{k=v,...}" for the series.
-func (s *Series) ID() string { return s.Name + s.Tags.String() }
+func (s *Series) ID() string {
+	var b strings.Builder
+	s.Tags.writeTo(&b, s.Name)
+	return b.String()
+}
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Samples) }

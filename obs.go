@@ -20,6 +20,13 @@ var (
 	metQueryReqs         = obs.Default().Counter("explainit_requests_total", "kind", "query")
 	metQueryStreamReqs   = obs.Default().Counter("explainit_requests_total", "kind", "query_stream")
 	metStepReqs          = obs.Default().Counter("explainit_requests_total", "kind", "step")
+
+	// Family rebuild cost: wall time of each BuildFamilies (scan, build and
+	// registry swap) and the series read and families produced, so the
+	// price of a refresh is visible on /metrics.
+	metBuildFamiliesMs = obs.Default().Histogram("explainit_build_families_ms", obs.LatencyBucketsMs)
+	metBuildSeries     = obs.Default().Counter("explainit_build_families_series")
+	metBuildFamilies   = obs.Default().Counter("explainit_build_families_families")
 )
 
 // noteRequest records one completed facade request of the given kind.
