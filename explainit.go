@@ -40,6 +40,7 @@ import (
 	"explainit/internal/monitor"
 	"explainit/internal/rescache"
 	"explainit/internal/sqlexec"
+	"explainit/internal/sqlparse"
 	ts "explainit/internal/timeseries"
 	"explainit/internal/tsdb"
 )
@@ -228,7 +229,12 @@ func (c *Client) DefineFamiliesSQL(query, timeCol, keyCol string, from, to time.
 	if err := cat.RegisterTSDB("tsdb", c.db); err != nil {
 		return nil, err
 	}
-	rel, err := sqlexec.Run(query, cat)
+	// Parse as a SELECT: EXPLAIN statements produce no family table.
+	stmt, err := sqlparse.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := sqlexec.ExecuteStatement(context.Background(), stmt, cat, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -234,6 +234,25 @@ func TestSQLQueryAndFamilies(t *testing.T) {
 	}
 }
 
+// TestDefineFamiliesSQLRejectsNonSelect pins that only a SELECT defines
+// families: EXPLAIN and EXPLAIN PLAN statements are errors, and the
+// registry is left as it was.
+func TestDefineFamiliesSQLRejectsNonSelect(t *testing.T) {
+	c, from, to := seedClient(t)
+	before := len(c.Families())
+	for _, q := range []string{
+		`EXPLAIN pipeline_runtime`,
+		`EXPLAIN PLAN SELECT timestamp, metric_name, value FROM tsdb`,
+	} {
+		if infos, err := c.DefineFamiliesSQL(q, "timestamp", "metric_name", from, to, time.Minute); err == nil {
+			t.Errorf("%q defined families %v; want an error", q, infos)
+		}
+	}
+	if after := len(c.Families()); after != before {
+		t.Errorf("rejected statements changed the registry: %d -> %d families", before, after)
+	}
+}
+
 func TestLoadCSVRoundTrip(t *testing.T) {
 	c := New()
 	csv := "timestamp,metric,tags,value\n" +

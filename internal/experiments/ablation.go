@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -148,7 +149,7 @@ func ablateBroadcastJoin(rep *Report) error {
 	cat.Register("target", target)
 
 	start := time.Now()
-	joined, err := sqlexec.Run(`SELECT ff.timestamp, v, y FROM ff JOIN target ON ff.timestamp = target.timestamp`, cat)
+	joined, err := sqlexec.RunStatement(context.Background(), `SELECT ff.timestamp, v, y FROM ff JOIN target ON ff.timestamp = target.timestamp`, cat, nil)
 	if err != nil {
 		return err
 	}

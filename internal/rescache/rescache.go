@@ -10,8 +10,7 @@
 // structurally impossible: the cache can serve an identical ranking or no
 // ranking, never an outdated one.
 //
-// Entries are kept in a bounded LRU (same shape as tsdb's compiled-glob
-// cache). Values are opaque to the package; the facade stores immutable
+// Entries are kept in a bounded LRU. Values are opaque to the package; the facade stores immutable
 // *Ranking snapshots.
 package rescache
 

@@ -10,6 +10,11 @@ import (
 	sp "explainit/internal/sqlparse"
 )
 
+// The row-at-a-time interpreter the SQL executor evaluated expressions
+// with before they were compiled into closures (compile.go). It is kept,
+// regexp-backed LIKE and GLOB included, as the oracle the compiled form is
+// tested against value for value and error for error.
+
 // evalContext carries everything an expression needs: the relation being
 // scanned, the current row, and (for aggregates) the rows of the current
 // group.
@@ -24,58 +29,6 @@ type evalContext struct {
 	// surrounding item expression with the results plugged in here, so the
 	// expression tree itself is never rewritten.
 	aggVals map[*sp.FuncCall]Value
-}
-
-func nan() float64 { return math.NaN() }
-
-// aggregateFuncs are functions computed over a group of rows.
-var aggregateFuncs = map[string]bool{
-	"AVG": true, "SUM": true, "MIN": true, "MAX": true, "COUNT": true,
-	"STDDEV": true, "VARIANCE": true, "PERCENTILE": true,
-}
-
-// containsAggregate walks an expression for aggregate function calls.
-func containsAggregate(e sp.Expr) bool {
-	switch x := e.(type) {
-	case *sp.FuncCall:
-		if aggregateFuncs[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-	case *sp.BinaryExpr:
-		return containsAggregate(x.L) || containsAggregate(x.R)
-	case *sp.UnaryExpr:
-		return containsAggregate(x.X)
-	case *sp.IndexExpr:
-		return containsAggregate(x.Base) || containsAggregate(x.Index)
-	case *sp.BetweenExpr:
-		return containsAggregate(x.X) || containsAggregate(x.Lo) || containsAggregate(x.Hi)
-	case *sp.InExpr:
-		if containsAggregate(x.X) {
-			return true
-		}
-		for _, it := range x.List {
-			if containsAggregate(it) {
-				return true
-			}
-		}
-	case *sp.IsNullExpr:
-		return containsAggregate(x.X)
-	case *sp.CaseExpr:
-		for _, w := range x.Whens {
-			if containsAggregate(w.Cond) || containsAggregate(w.Result) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return containsAggregate(x.Else)
-		}
-	}
-	return false
 }
 
 // eval evaluates an expression in the given context.
@@ -133,13 +86,6 @@ func eval(e sp.Expr, ctx *evalContext) (Value, error) {
 		return evalFunc(x, ctx)
 	}
 	return Null(), fmt.Errorf("sqlexec: unsupported expression %T", e)
-}
-
-func boolVal(b bool) Value {
-	if b {
-		return Number(1)
-	}
-	return Number(0)
 }
 
 func evalIndex(x *sp.IndexExpr, ctx *evalContext) (Value, error) {
@@ -791,12 +737,4 @@ func evalAggregate(x *sp.FuncCall, ctx *evalContext) (Value, error) {
 		return Number(sorted[lo]*(1-w) + sorted[hi]*w), nil
 	}
 	return Null(), fmt.Errorf("sqlexec: unknown aggregate %q", x.Name)
-}
-
-func meanOf(vals []float64) float64 {
-	var s float64
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"explainit/internal/obs"
 	sp "explainit/internal/sqlparse"
@@ -17,16 +16,6 @@ type execEnv struct {
 	ctx context.Context
 	cat Catalog
 	ex  Explainer
-}
-
-// Execute runs a parsed SELECT statement against the catalog and returns the
-// resulting relation. EXPLAIN refs in FROM fail: use ExecuteStatement with
-// an Explainer for those.
-//
-// Deprecated: thin wrapper over the planner path; use ExecuteStatement with
-// a context so scans and rankings are cancellable.
-func Execute(stmt *sp.SelectStmt, cat Catalog) (*Relation, error) {
-	return ExecuteStatement(context.Background(), stmt, cat, nil)
 }
 
 // ExecuteStatement runs a parsed statement of any kind through the query
@@ -84,18 +73,6 @@ func executeSelect(stmt *sp.SelectStmt, env *execEnv) (*Relation, error) {
 	return out, nil
 }
 
-// Run parses and executes a SQL string in one call.
-//
-// Deprecated: thin wrapper over the planner path; use RunStatement with a
-// context so scans and rankings are cancellable.
-func Run(query string, cat Catalog) (*Relation, error) {
-	stmt, err := sp.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return Execute(stmt, cat)
-}
-
 // RunStatement parses and executes a SQL string of either statement kind,
 // dispatching EXPLAIN clauses to ex.
 func RunStatement(ctx context.Context, query string, cat Catalog, ex Explainer) (*Relation, error) {
@@ -122,17 +99,11 @@ func executeSingle(stmt *sp.SelectStmt, env *execEnv) (*Relation, error) {
 
 	// WHERE.
 	if stmt.Where != nil {
-		filtered := &Relation{Cols: input.Cols, Quals: input.Quals}
-		for i, row := range input.Rows {
-			v, err := eval(stmt.Where, &evalContext{rel: input, row: row, rowIdx: i})
-			if err != nil {
-				return nil, err
-			}
-			if v.Truthy() {
-				filtered.Rows = append(filtered.Rows, row)
-			}
+		rows, err := filterRows(compileExpr(stmt.Where, input), input.Rows)
+		if err != nil {
+			return nil, err
 		}
-		input = filtered
+		input = &Relation{Cols: input.Cols, Quals: input.Quals, Rows: rows}
 	}
 
 	// GROUP BY / projection. src[i] is the input row that produced output
@@ -141,17 +112,14 @@ func executeSingle(stmt *sp.SelectStmt, env *execEnv) (*Relation, error) {
 	var out *Relation
 	var src [][]Value
 	var err error
-	hasAgg := false
-	for _, item := range stmt.Items {
-		if containsAggregate(item.Expr) {
-			hasAgg = true
-			break
-		}
-	}
-	if len(stmt.GroupBy) > 0 || hasAgg {
-		out, src, err = executeGrouped(stmt, input)
+	if isGrouped(stmt) {
+		g := compileGrouping(stmt, input, nil)
+		out = NewRelation(g.cols...)
+		out.Rows, src, err = g.run(input.Rows)
 	} else {
-		out, src, err = executeProjection(stmt, input)
+		cols, items := compileProjection(stmt.Items, input)
+		out = NewRelation(cols...)
+		out.Rows, src, err = projectRows(items, len(cols), input.Rows)
 	}
 	if err != nil {
 		return nil, err
@@ -164,7 +132,8 @@ func executeSingle(stmt *sp.SelectStmt, env *execEnv) (*Relation, error) {
 	// ORDER BY: aliases and projected columns take precedence; otherwise a
 	// key is evaluated against the originating input row.
 	if len(stmt.OrderBy) > 0 {
-		if err := orderRelation(out, input, src, stmt.OrderBy); err != nil {
+		keys := compileOrder(stmt.OrderBy, schemaOnly(out), input)
+		if err := orderRows(out.Rows, src, keys); err != nil {
 			return nil, err
 		}
 	}
@@ -172,6 +141,38 @@ func executeSingle(stmt *sp.SelectStmt, env *execEnv) (*Relation, error) {
 		out.Rows = out.Rows[:stmt.Limit]
 	}
 	return out, nil
+}
+
+// isGrouped reports whether a SELECT aggregates: a GROUP BY clause or an
+// aggregate call in its items.
+func isGrouped(stmt *sp.SelectStmt) bool {
+	if len(stmt.GroupBy) > 0 {
+		return true
+	}
+	for _, item := range stmt.Items {
+		if containsAggregate(item.Expr) {
+			return true
+		}
+	}
+	return false
+}
+
+// filterRows keeps the rows pred holds for, evaluating it positionally
+// over the whole input so window functions see every row.
+func filterRows(pred exprFn, rows [][]Value) ([][]Value, error) {
+	var kept [][]Value
+	env := &evalEnv{rows: rows}
+	for i, row := range rows {
+		env.row, env.idx = row, i
+		v, err := pred(env)
+		if err != nil {
+			return nil, err
+		}
+		if v.Truthy() {
+			kept = append(kept, row)
+		}
+	}
+	return kept, nil
 }
 
 // outputName picks the column name for a projection item.
@@ -185,110 +186,173 @@ func outputName(item sp.SelectItem) string {
 	return item.Expr.String()
 }
 
-func executeProjection(stmt *sp.SelectStmt, input *Relation) (*Relation, [][]Value, error) {
-	// Expand * items.
+// projItem is one compiled SELECT item; a star item copies the input row.
+type projItem struct {
+	fn   exprFn
+	star bool
+}
+
+// compileProjection compiles an aggregate-free SELECT list against the
+// input schema and returns its output columns, stars expanded.
+func compileProjection(items []sp.SelectItem, in *Relation) ([]string, []projItem) {
 	var cols []string
-	type proj struct {
-		expr sp.Expr
-		star bool
-	}
-	var projs []proj
-	for _, item := range stmt.Items {
+	var out []projItem
+	for _, item := range items {
 		if _, ok := item.Expr.(*sp.Star); ok {
-			cols = append(cols, input.Cols...)
-			projs = append(projs, proj{star: true})
+			cols = append(cols, in.Cols...)
+			out = append(out, projItem{star: true})
 			continue
 		}
 		cols = append(cols, outputName(item))
-		projs = append(projs, proj{expr: item.Expr})
+		out = append(out, projItem{fn: compileExpr(item.Expr, in)})
 	}
-	out := NewRelation(cols...)
-	src := make([][]Value, 0, len(input.Rows))
-	for i, row := range input.Rows {
-		newRow := make([]Value, 0, len(cols))
-		for _, p := range projs {
-			if p.star {
-				newRow = append(newRow, row...)
-				continue
-			}
-			v, err := eval(p.expr, &evalContext{rel: input, row: row, rowIdx: i})
-			if err != nil {
-				return nil, nil, err
-			}
-			newRow = append(newRow, v)
-		}
-		out.Rows = append(out.Rows, newRow)
-		src = append(src, row)
-	}
-	return out, src, nil
+	return cols, out
 }
 
-func executeGrouped(stmt *sp.SelectStmt, input *Relation) (*Relation, [][]Value, error) {
-	for _, item := range stmt.Items {
-		if _, ok := item.Expr.(*sp.Star); ok {
-			return nil, nil, fmt.Errorf("sqlexec: SELECT * is not allowed with GROUP BY")
+// project evaluates the items over one input row into a width-wide row.
+func project(items []projItem, width int, env *evalEnv) ([]Value, error) {
+	out := make([]Value, 0, width)
+	for _, p := range items {
+		if p.star {
+			out = append(out, env.row...)
+			continue
+		}
+		v, err := p.fn(env)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// projectRows projects a materialized input positionally (window
+// functions see every row) and returns the output rows with their source
+// rows.
+func projectRows(items []projItem, width int, rows [][]Value) (out, src [][]Value, err error) {
+	out = make([][]Value, 0, len(rows))
+	env := &evalEnv{rows: rows}
+	for i, row := range rows {
+		env.row, env.idx = row, i
+		r, err := project(items, width, env)
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, r)
+	}
+	if rows == nil {
+		rows = [][]Value{} // only a DISTINCT that kept nothing leaves ORDER BY without sources
+	}
+	return out, rows, nil
+}
+
+// grouping is a compiled GROUP BY / aggregate SELECT list. The items are
+// compiled with the aggregate call sites of slots bound to env.aggs (a
+// streaming aggregation), falling back to evaluation over env.group (a
+// buffered one).
+type grouping struct {
+	cols  []string
+	width int  // input columns
+	star  bool // SELECT * with GROUP BY: an error raised once the input ran
+	keys  []exprFn
+	items []exprFn
+	slots []*aggSlot
+}
+
+// compileGrouping compiles a grouped SELECT against the input schema;
+// slotCalls are the aggregate call sites a streaming aggregation
+// accumulates (nil for buffered grouping).
+func compileGrouping(stmt *sp.SelectStmt, in *Relation, slotCalls []*sp.FuncCall) *grouping {
+	c := &compiler{schema: in}
+	g := &grouping{cols: make([]string, len(stmt.Items)), width: in.NumCols(), keys: c.exprs(stmt.GroupBy)}
+	if len(slotCalls) > 0 {
+		c.slots = make(map[*sp.FuncCall]int, len(slotCalls))
+		for i, call := range slotCalls {
+			c.slots[call] = i
+			g.slots = append(g.slots, c.aggSlot(call))
 		}
 	}
-	// Bucket rows by group key.
+	for i, item := range stmt.Items {
+		if _, ok := item.Expr.(*sp.Star); ok {
+			g.star = true
+		}
+		g.cols[i] = outputName(item)
+		g.items = append(g.items, c.expr(item.Expr))
+	}
+	return g
+}
+
+var errGroupStar = fmt.Errorf("sqlexec: SELECT * is not allowed with GROUP BY")
+
+// row evaluates the items for one group.
+func (g *grouping) row(env *evalEnv) ([]Value, error) {
+	out := make([]Value, len(g.items))
+	for i, item := range g.items {
+		v, err := item(env)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// run groups a materialized input: rows are bucketed by key (keys see the
+// whole input positionally), then every group's items are evaluated over
+// its rows. It returns one output row per group, in first-seen order, with
+// the group's first row as its source.
+func (g *grouping) run(rows [][]Value) (out, src [][]Value, err error) {
+	if g.star {
+		return nil, nil, errGroupStar
+	}
 	type group struct {
 		first []Value
 		rows  [][]Value
 	}
 	groups := make(map[string]*group)
-	var order []string
-	for i, row := range input.Rows {
-		var keyParts []string
-		for _, g := range stmt.GroupBy {
-			v, err := eval(g, &evalContext{rel: input, row: row, rowIdx: i})
+	var order []*group
+	var h rowHasher
+	env := &evalEnv{rows: rows}
+	for i, row := range rows {
+		env.row, env.idx = row, i
+		h.buf = h.buf[:0]
+		for ki, key := range g.keys {
+			v, err := key(env)
 			if err != nil {
 				return nil, nil, err
 			}
-			keyParts = append(keyParts, v.Key())
+			if ki > 0 {
+				h.buf = append(h.buf, '\x1f')
+			}
+			h.buf = appendValueKey(h.buf, v)
 		}
-		key := strings.Join(keyParts, "\x1f")
-		grp, ok := groups[key]
+		grp, ok := groups[string(h.buf)]
 		if !ok {
 			grp = &group{first: row}
-			groups[key] = grp
-			order = append(order, key)
+			groups[string(h.buf)] = grp
+			order = append(order, grp)
 		}
 		grp.rows = append(grp.rows, row)
 	}
-	// No GROUP BY but aggregates present: one global group (even when the
-	// input is empty, SQL returns a single row of aggregates over nothing —
-	// we return NULL aggregates only if there was at least one row to give
-	// COUNT() = 0 semantics).
-	if len(stmt.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
+	// Aggregates without GROUP BY over an empty input evaluate once against
+	// a NULL row and no group — where aggregates report that they are
+	// outside a GROUP BY context.
+	if len(g.keys) == 0 && len(order) == 0 {
+		order = append(order, &group{})
 	}
-
-	cols := make([]string, len(stmt.Items))
-	for i, item := range stmt.Items {
-		cols[i] = outputName(item)
-	}
-	out := NewRelation(cols...)
-	src := make([][]Value, 0, len(order))
-	for _, key := range order {
-		grp := groups[key]
-		row := make([]Value, len(stmt.Items))
-		firstRow := grp.first
-		if firstRow == nil && len(grp.rows) > 0 {
-			firstRow = grp.rows[0]
+	out = make([][]Value, 0, len(order))
+	src = make([][]Value, 0, len(order))
+	for _, grp := range order {
+		first := grp.first
+		if first == nil {
+			first = nullRow(g.width)
 		}
-		if firstRow == nil {
-			firstRow = nullRow(input.NumCols())
+		r, err := g.row(&evalEnv{row: first, idx: -1, group: grp.rows})
+		if err != nil {
+			return nil, nil, err
 		}
-		for i, item := range stmt.Items {
-			ctx := &evalContext{rel: input, row: firstRow, rowIdx: -1, groupRows: grp.rows}
-			v, err := eval(item.Expr, ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
-		}
-		out.Rows = append(out.Rows, row)
-		src = append(src, firstRow)
+		out = append(out, r)
+		src = append(src, first)
 	}
 	return out, src, nil
 }
@@ -328,55 +392,91 @@ func dedupRowsWithSrc(rel *Relation, src [][]Value) (*Relation, [][]Value) {
 	return out, outSrc
 }
 
-// orderRelation sorts rel in place. Each key is resolved against the output
-// relation when all of its columns project there; otherwise it is evaluated
-// against the originating input row (standard SQL lets ORDER BY see input
-// columns that were not selected).
-func orderRelation(rel, input *Relation, src [][]Value, keys []sp.OrderItem) error {
+// orderKey is one compiled ORDER BY key. A key whose columns all project
+// resolves against the output row; otherwise against the originating input
+// row (standard SQL lets ORDER BY see input columns that were not
+// selected), when the input has all its columns.
+type orderKey struct {
+	expr      sp.Expr
+	desc      bool
+	useOutput bool
+	inputOK   bool
+	fn        exprFn // compiled against the output schema, else the input's
+}
+
+func compileOrder(items []sp.OrderItem, out, in *Relation) []orderKey {
+	keys := make([]orderKey, len(items))
+	for j, k := range items {
+		key := orderKey{expr: k.Expr, desc: k.Desc, useOutput: refsOnly(k.Expr, out)}
+		switch {
+		case key.useOutput:
+			key.fn = compileExpr(k.Expr, out)
+		case refsOnly(k.Expr, in):
+			key.inputOK = true
+			key.fn = compileExpr(k.Expr, in)
+		}
+		keys[j] = key
+	}
+	return keys
+}
+
+func (k *orderKey) notFound() error {
+	return fmt.Errorf("sqlexec: ORDER BY key %q not found in output or input columns", k.expr)
+}
+
+// orderRows sorts rows stably in place. Output-resolved keys see the
+// unsorted output positionally; input-resolved keys see src[i]. With src
+// nil (DISTINCT removed every row) an input-resolved key is an error.
+func orderRows(rows, src [][]Value, keys []orderKey) error {
+	for j := range keys {
+		if !keys[j].useOutput && (src == nil || !keys[j].inputOK) {
+			return keys[j].notFound()
+		}
+	}
 	type keyed struct {
 		row  []Value
 		keys []Value
 	}
-	useOutput := make([]bool, len(keys))
-	for j, k := range keys {
-		useOutput[j] = refsOnly(k.Expr, rel)
-		if !useOutput[j] && (src == nil || !refsOnly(k.Expr, input)) {
-			return fmt.Errorf("sqlexec: ORDER BY key %q not found in output or input columns", k.Expr)
-		}
-	}
-	rows := make([]keyed, len(rel.Rows))
-	for i, row := range rel.Rows {
+	sorted := make([]keyed, len(rows))
+	out := &evalEnv{rows: rows}
+	in := &evalEnv{idx: -1}
+	for i, row := range rows {
+		out.row, out.idx = row, i
 		ks := make([]Value, len(keys))
 		for j, k := range keys {
-			var v Value
-			var err error
-			if useOutput[j] {
-				v, err = eval(k.Expr, &evalContext{rel: rel, row: row, rowIdx: i})
-			} else {
-				v, err = eval(k.Expr, &evalContext{rel: input, row: src[i], rowIdx: -1})
+			env := out
+			if !k.useOutput {
+				in.row = src[i]
+				env = in
 			}
+			v, err := k.fn(env)
 			if err != nil {
 				return err
 			}
 			ks[j] = v
 		}
-		rows[i] = keyed{row: row, keys: ks}
+		sorted[i] = keyed{row: row, keys: ks}
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for j, k := range keys {
-			c := Compare(rows[a].keys[j], rows[b].keys[j])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
+	sort.SliceStable(sorted, func(a, b int) bool {
+		return compareKeys(keys, sorted[a].keys, sorted[b].keys) < 0
 	})
-	for i, kr := range rows {
-		rel.Rows[i] = kr.row
+	for i, kr := range sorted {
+		rows[i] = kr.row
 	}
 	return nil
+}
+
+// compareKeys orders two evaluated key vectors by the keys' directions.
+func compareKeys(keys []orderKey, a, b []Value) int {
+	for j, k := range keys {
+		c := Compare(a[j], b[j])
+		if c == 0 {
+			continue
+		}
+		if k.desc {
+			return -c
+		}
+		return c
+	}
+	return 0
 }

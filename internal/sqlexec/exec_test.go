@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -43,9 +44,14 @@ func demoCatalog(t *testing.T) *MemCatalog {
 	return cat
 }
 
+// runSQL parses and executes q with no Explainer.
+func runSQL(q string, cat Catalog) (*Relation, error) {
+	return RunStatement(context.Background(), q, cat, nil)
+}
+
 func mustRun(t *testing.T, cat Catalog, q string) *Relation {
 	t.Helper()
-	rel, err := Run(q, cat)
+	rel, err := runSQL(q, cat)
 	if err != nil {
 		t.Fatalf("run %q: %v", q, err)
 	}
@@ -180,7 +186,7 @@ func TestUnionAndUnionAll(t *testing.T) {
 	if dedup.NumRows() != 2 {
 		t.Fatalf("union rows %d", dedup.NumRows())
 	}
-	if _, err := Run(`SELECT hostname, os_version FROM hosts UNION SELECT hostname FROM hosts`, cat); err == nil {
+	if _, err := runSQL(`SELECT hostname, os_version FROM hosts UNION SELECT hostname FROM hosts`, cat); err == nil {
 		t.Fatal("mismatched union arity must error")
 	}
 }
@@ -373,7 +379,7 @@ func TestErrorCases(t *testing.T) {
 		`SELECT hostname[0] FROM hosts`,
 	}
 	for _, q := range bad {
-		if _, err := Run(q, cat); err == nil {
+		if _, err := runSQL(q, cat); err == nil {
 			t.Fatalf("expected error for %q", q)
 		}
 	}

@@ -137,13 +137,13 @@ func TestExplainWithoutExplainerFails(t *testing.T) {
 			t.Fatalf("%q without explainer: %v", q, err)
 		}
 	}
-	// The SELECT-only Execute path rejects embedded EXPLAIN the same way.
+	// The legacy executor rejects embedded EXPLAIN the same way.
 	stmt, err := sp.Parse("SELECT family FROM (EXPLAIN t) r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(stmt, NewMemCatalog()); err == nil {
-		t.Fatal("Execute must reject embedded EXPLAIN without an engine")
+	if _, err := ExecuteStatementLegacy(context.Background(), stmt, NewMemCatalog(), nil); err == nil {
+		t.Fatal("the legacy executor must reject embedded EXPLAIN without an engine")
 	}
 }
 

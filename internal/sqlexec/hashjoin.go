@@ -49,13 +49,15 @@ func (h *rowHasher) rowKey(row []Value) []byte {
 	return h.buf
 }
 
-// joinKey evaluates the key expressions for one side of an equi-join. A
-// NULL key value short-circuits to ("", false): NULL never matches, and —
-// matching the legacy executor — later key expressions are not evaluated.
-func joinKey(h *rowHasher, exprs []sp.Expr, rel *Relation, row []Value) (string, bool, error) {
+// joinKey evaluates the compiled key expressions for one side of an
+// equi-join over row (env is the caller's reused context). A NULL key value
+// short-circuits to ("", false): NULL never matches, and later key
+// expressions are not evaluated.
+func joinKey(h *rowHasher, keys []exprFn, env *evalEnv, row []Value) (string, bool, error) {
+	env.row, env.idx = row, -1
 	h.buf = h.buf[:0]
-	for i, e := range exprs {
-		v, err := eval(e, &evalContext{rel: rel, row: row, rowIdx: -1})
+	for i, key := range keys {
+		v, err := key(env)
 		if err != nil {
 			return "", false, err
 		}
@@ -87,9 +89,8 @@ type hashJoinIter struct {
 	n *PlanNode
 
 	left, right iterator
-	lexprs      []sp.Expr
-	rexprs      []sp.Expr
 	h           rowHasher
+	env         evalEnv
 
 	// classic (build right)
 	rightRows    [][]Value
@@ -111,19 +112,10 @@ type hashJoinIter struct {
 }
 
 func newHashJoinIter(n *PlanNode) *hashJoinIter {
-	op := n.join
-	lex := make([]sp.Expr, len(op.keys))
-	rex := make([]sp.Expr, len(op.keys))
-	for i, k := range op.keys {
-		lex[i] = k.leftExpr
-		rex[i] = k.rightExpr
-	}
 	return &hashJoinIter{
 		n:     n,
 		left:  newIterator(n.Children[0]),
 		right: newIterator(n.Children[1]),
-		lexprs: lex,
-		rexprs: rex,
 	}
 }
 
@@ -147,7 +139,7 @@ func (it *hashJoinIter) openClassic(ec *execCtx) error {
 	it.rightRows = rows
 	it.table = make(map[string][]int, len(rows))
 	for i, row := range rows {
-		key, ok, err := joinKey(&it.h, it.rexprs, op.right, row)
+		key, ok, err := joinKey(&it.h, op.rkeys, &it.env, row)
 		if err != nil {
 			return err
 		}
@@ -172,7 +164,7 @@ func (it *hashJoinIter) openReverse(ec *execCtx) error {
 	it.leftRows = lrows
 	it.table = make(map[string][]int, len(lrows))
 	for i, row := range lrows {
-		key, ok, err := joinKey(&it.h, it.lexprs, op.left, row)
+		key, ok, err := joinKey(&it.h, op.lkeys, &it.env, row)
 		if err != nil {
 			return err
 		}
@@ -193,7 +185,7 @@ func (it *hashJoinIter) openReverse(ec *execCtx) error {
 		if rrow == nil {
 			break
 		}
-		key, ok, err := joinKey(&it.h, it.rexprs, op.right, rrow)
+		key, ok, err := joinKey(&it.h, op.rkeys, &it.env, rrow)
 		if err != nil {
 			return err
 		}
@@ -247,7 +239,7 @@ func (it *hashJoinIter) nextClassic() ([]Value, []Value, error) {
 			it.leftDone = true
 			continue
 		}
-		key, ok, err := joinKey(&it.h, it.lexprs, op.left, lrow)
+		key, ok, err := joinKey(&it.h, op.lkeys, &it.env, lrow)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -325,13 +317,11 @@ func (it *nlJoinIter) Open(ec *execCtx) error {
 	if err != nil {
 		return err
 	}
-	lrel := &Relation{Cols: op.left.Cols, Quals: op.left.Quals, Rows: lrows}
-	rrel := &Relation{Cols: op.right.Cols, Quals: op.right.Quals, Rows: rrows}
-	out, err := nestedLoopJoin(op.join, lrel, rrel)
+	rows, err := nestedLoopJoin(op, lrows, rrows)
 	if err != nil {
 		return err
 	}
-	it.rows = out.Rows
+	it.rows = rows
 	return nil
 }
 

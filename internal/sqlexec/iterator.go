@@ -4,12 +4,10 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"explainit/internal/ctxpoll"
 	"explainit/internal/obs"
-	sp "explainit/internal/sqlparse"
 )
 
 // Volcano-style streaming executor. Each physical operator is an iterator
@@ -226,15 +224,15 @@ func (s *scanIter) Next() ([]Value, []Value, error) {
 
 func (s *scanIter) Close() {}
 
-// filterIter applies the residual WHERE. Streaming mode evaluates against
-// the input schema with the running pre-filter row index (identical
-// context to the legacy loop for window-free predicates); buffered mode
-// materializes the input first so window functions see it whole.
+// filterIter applies the residual WHERE. Streaming mode evaluates the
+// compiled predicate against each row with its running pre-filter index;
+// buffered mode materializes the input first so window functions see it
+// whole.
 type filterIter struct {
 	n     *PlanNode
 	child iterator
 
-	i    int
+	env  evalEnv
 	poll ctxpoll.Poll
 
 	buffered bool
@@ -256,17 +254,8 @@ func (f *filterIter) Open(ec *execCtx) error {
 	if err != nil {
 		return err
 	}
-	input := &Relation{Cols: op.in.Cols, Quals: op.in.Quals, Rows: rows}
-	for i, row := range rows {
-		v, err := eval(op.pred, &evalContext{rel: input, row: row, rowIdx: i})
-		if err != nil {
-			return err
-		}
-		if v.Truthy() {
-			f.rows = append(f.rows, row)
-		}
-	}
-	return nil
+	f.rows, err = filterRows(op.pred, rows)
+	return err
 }
 
 func (f *filterIter) Next() ([]Value, []Value, error) {
@@ -278,7 +267,7 @@ func (f *filterIter) Next() ([]Value, []Value, error) {
 		f.pos++
 		return row, row, nil
 	}
-	op := f.n.filter
+	pred := f.n.filter.pred
 	for {
 		if err := f.poll.Check(); err != nil {
 			return nil, nil, err
@@ -287,8 +276,9 @@ func (f *filterIter) Next() ([]Value, []Value, error) {
 		if err != nil || row == nil {
 			return nil, nil, err
 		}
-		v, err := eval(op.pred, &evalContext{rel: op.in, row: row, rowIdx: f.i})
-		f.i++
+		f.env.row = row
+		v, err := pred(&f.env)
+		f.env.idx++
 		if err != nil {
 			return nil, nil, err
 		}
@@ -300,13 +290,13 @@ func (f *filterIter) Next() ([]Value, []Value, error) {
 
 func (f *filterIter) Close() { f.child.Close() }
 
-// projectIter evaluates the SELECT items. Buffered mode falls back to the
-// legacy executeProjection over the materialized input (window functions).
+// projectIter evaluates the SELECT items. Buffered mode projects the
+// materialized input positionally (window functions).
 type projectIter struct {
 	n     *PlanNode
 	child iterator
 
-	i int
+	env evalEnv
 
 	buffered bool
 	rows     [][]Value
@@ -327,13 +317,8 @@ func (p *projectIter) Open(ec *execCtx) error {
 	if err != nil {
 		return err
 	}
-	input := &Relation{Cols: op.in.Cols, Quals: op.in.Quals, Rows: rows}
-	out, srcs, err := executeProjection(op.stmt, input)
-	if err != nil {
-		return err
-	}
-	p.rows, p.srcs = out.Rows, srcs
-	return nil
+	p.rows, p.srcs, err = projectRows(op.items, p.n.schema.NumCols(), rows)
+	return err
 }
 
 func (p *projectIter) Next() ([]Value, []Value, error) {
@@ -345,25 +330,17 @@ func (p *projectIter) Next() ([]Value, []Value, error) {
 		p.pos++
 		return row, src, nil
 	}
-	op := p.n.proj
 	row, _, err := p.child.Next()
 	if err != nil || row == nil {
 		return nil, nil, err
 	}
-	newRow := make([]Value, 0, len(p.n.schema.Cols))
-	for _, item := range op.items {
-		if item.star {
-			newRow = append(newRow, row...)
-			continue
-		}
-		v, err := eval(item.expr, &evalContext{rel: op.in, row: row, rowIdx: p.i})
-		if err != nil {
-			return nil, nil, err
-		}
-		newRow = append(newRow, v)
+	p.env.row = row
+	out, err := project(p.n.proj.items, p.n.schema.NumCols(), &p.env)
+	p.env.idx++
+	if err != nil {
+		return nil, nil, err
 	}
-	p.i++
-	return newRow, row, nil
+	return out, row, nil
 }
 
 func (p *projectIter) Close() { p.child.Close() }
@@ -382,9 +359,9 @@ type slotState struct {
 }
 
 // aggIter executes GROUP BY / aggregate projections. Streaming mode
-// accumulates slot state in one pass and substitutes finalized values via
-// evalContext.aggVals; buffered mode materializes and runs the legacy
-// executeGrouped (window functions, SELECT * errors, lazily positioned
+// accumulates slot state in one pass and hands the finalized values to the
+// compiled items through evalEnv.aggs; buffered mode materializes the input
+// and groups it whole (window functions, SELECT * errors, lazily positioned
 // aggregates).
 type aggIter struct {
 	n     *PlanNode
@@ -405,26 +382,20 @@ func (a *aggIter) Open(ec *execCtx) error {
 		if err != nil {
 			return err
 		}
-		input := &Relation{Cols: op.in.Cols, Quals: op.in.Quals, Rows: rows}
-		out, srcs, err := executeGrouped(op.stmt, input)
-		if err != nil {
-			return err
-		}
-		a.rows, a.srcs = out.Rows, srcs
-		return nil
+		a.rows, a.srcs, err = op.g.run(rows)
+		return err
 	}
 	return a.runStreaming(ec)
 }
 
 func (a *aggIter) runStreaming(ec *execCtx) error {
-	op := a.n.agg
-	stmt := op.stmt
+	g := a.n.agg.g
 	groups := make(map[string]*aggGroup)
 	var order []*aggGroup
 	var h rowHasher
+	env := &evalEnv{}
 	poll := ctxpoll.New(ec.ctx, 256)
-	i := 0
-	for {
+	for i := 0; ; i++ {
 		if err := poll.Check(); err != nil {
 			return err
 		}
@@ -435,186 +406,62 @@ func (a *aggIter) runStreaming(ec *execCtx) error {
 		if row == nil {
 			break
 		}
+		env.row, env.idx = row, i
 		h.buf = h.buf[:0]
-		for gi, g := range stmt.GroupBy {
-			v, err := eval(g, &evalContext{rel: op.in, row: row, rowIdx: i})
+		for ki, key := range g.keys {
+			v, err := key(env)
 			if err != nil {
 				return err
 			}
-			if gi > 0 {
+			if ki > 0 {
 				h.buf = append(h.buf, '\x1f')
 			}
 			h.buf = appendValueKey(h.buf, v)
 		}
-		i++
 		grp, ok := groups[string(h.buf)]
 		if !ok {
-			grp = &aggGroup{first: row, slots: make([]slotState, len(op.slots))}
+			grp = &aggGroup{first: row, slots: make([]slotState, len(g.slots))}
 			groups[string(h.buf)] = grp
 			order = append(order, grp)
 		}
 		grp.n++
-		for si, slot := range op.slots {
-			if err := accumulateSlot(slot, &grp.slots[si], op.in, row); err != nil {
+		env.idx = -1
+		for si, slot := range g.slots {
+			if err := slot.accumulate(&grp.slots[si], env); err != nil {
 				return err
 			}
 		}
 	}
-	// Legacy synthetic global group: aggregates without GROUP BY over an
-	// empty input evaluate against a NULL row with nil groupRows, which is
-	// where the "aggregate outside GROUP BY context" error comes from.
-	if len(order) == 0 && len(stmt.GroupBy) == 0 {
-		nrow := nullRow(op.in.NumCols())
-		out := make([]Value, len(stmt.Items))
-		for j, item := range stmt.Items {
-			v, err := eval(item.Expr, &evalContext{rel: op.in, row: nrow, rowIdx: -1})
-			if err != nil {
-				return err
-			}
-			out[j] = v
+	// Aggregates without GROUP BY over an empty input evaluate once against
+	// a NULL row with no group and no slots — where aggregates report that
+	// they are outside a GROUP BY context.
+	if len(order) == 0 && len(g.keys) == 0 {
+		nrow := nullRow(g.width)
+		out, err := g.row(&evalEnv{row: nrow, idx: -1})
+		if err != nil {
+			return err
 		}
 		a.rows = [][]Value{out}
 		a.srcs = [][]Value{nrow}
 		return nil
 	}
 	for _, grp := range order {
-		aggVals := make(map[*sp.FuncCall]Value, len(op.slots))
-		for si, slot := range op.slots {
-			v, err := finalizeSlot(slot, grp, &grp.slots[si], op.in)
+		aggs := make([]Value, len(g.slots))
+		for si, slot := range g.slots {
+			v, err := slot.finalize(&grp.slots[si], grp.n, grp.first)
 			if err != nil {
 				return err
 			}
-			aggVals[slot.call] = v
+			aggs[si] = v
 		}
-		out := make([]Value, len(stmt.Items))
-		for j, item := range stmt.Items {
-			v, err := eval(item.Expr, &evalContext{
-				rel: op.in, row: grp.first, rowIdx: -1, aggVals: aggVals,
-			})
-			if err != nil {
-				return err
-			}
-			out[j] = v
+		out, err := g.row(&evalEnv{row: grp.first, idx: -1, aggs: aggs})
+		if err != nil {
+			return err
 		}
 		a.rows = append(a.rows, out)
 		a.srcs = append(a.srcs, grp.first)
 	}
 	return nil
-}
-
-// accumulateSlot folds one input row into a slot accumulator, using the
-// exact per-row evaluation context of the legacy evalAggregate.
-func accumulateSlot(slot *aggSlot, st *slotState, in *Relation, row []Value) error {
-	call := slot.call
-	if call.Name == "COUNT" {
-		if call.IsStar || len(call.Args) == 0 {
-			return nil // group row count is tracked on the group
-		}
-		v, err := eval(call.Args[0], &evalContext{rel: in, row: row, rowIdx: -1})
-		if err != nil {
-			return err
-		}
-		if !v.IsNull() {
-			st.count++
-		}
-		return nil
-	}
-	if len(call.Args) < 1 {
-		return nil // "needs an argument" is raised at finalize, like legacy
-	}
-	v, err := eval(call.Args[0], &evalContext{rel: in, row: row, rowIdx: -1})
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil
-	}
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("sqlexec: %s over non-numeric values", call.Name)
-	}
-	st.vals = append(st.vals, f)
-	return nil
-}
-
-// finalizeSlot computes the aggregate value from accumulated state,
-// mirroring evalAggregate's math and error/NULL behavior exactly.
-func finalizeSlot(slot *aggSlot, grp *aggGroup, st *slotState, in *Relation) (Value, error) {
-	call := slot.call
-	if call.Name == "COUNT" {
-		if call.IsStar || len(call.Args) == 0 {
-			return Number(float64(grp.n)), nil
-		}
-		return Number(float64(st.count)), nil
-	}
-	if len(call.Args) < 1 {
-		return Null(), fmt.Errorf("sqlexec: %s needs an argument", call.Name)
-	}
-	vals := st.vals
-	if len(vals) == 0 {
-		return Null(), nil
-	}
-	switch call.Name {
-	case "AVG":
-		return Number(meanOf(vals)), nil
-	case "SUM":
-		var s float64
-		for _, v := range vals {
-			s += v
-		}
-		return Number(s), nil
-	case "MIN":
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v < m {
-				m = v
-			}
-		}
-		return Number(m), nil
-	case "MAX":
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		return Number(m), nil
-	case "STDDEV", "VARIANCE":
-		m := meanOf(vals)
-		var ss float64
-		for _, v := range vals {
-			d := v - m
-			ss += d * d
-		}
-		variance := ss / float64(len(vals))
-		if call.Name == "VARIANCE" {
-			return Number(variance), nil
-		}
-		return Number(math.Sqrt(variance)), nil
-	case "PERCENTILE":
-		if len(call.Args) != 2 {
-			return Null(), fmt.Errorf("sqlexec: PERCENTILE takes (expr, fraction)")
-		}
-		pv, err := eval(call.Args[1], &evalContext{rel: in, row: grp.first, rowIdx: -1})
-		if err != nil {
-			return Null(), err
-		}
-		frac, ok := pv.AsFloat()
-		if !ok || frac < 0 || frac > 1 {
-			return Null(), fmt.Errorf("sqlexec: PERCENTILE fraction must be in [0,1]")
-		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		pos := frac * float64(len(sorted)-1)
-		lo := int(math.Floor(pos))
-		hi := int(math.Ceil(pos))
-		if lo == hi {
-			return Number(sorted[lo]), nil
-		}
-		w := pos - float64(lo)
-		return Number(sorted[lo]*(1-w) + sorted[hi]*w), nil
-	}
-	return Null(), fmt.Errorf("sqlexec: unknown aggregate %q", call.Name)
 }
 
 func (a *aggIter) Next() ([]Value, []Value, error) {
@@ -659,9 +506,10 @@ func (d *distinctIter) Next() ([]Value, []Value, error) {
 
 func (d *distinctIter) Close() { d.child.Close() }
 
-// sortIter is the blocking ORDER BY: it materializes its input and runs
-// the legacy orderRelation, preserving its exact key-resolution and error
-// semantics (including the nil-src quirk after an all-duplicate DISTINCT).
+// sortIter is the blocking ORDER BY: it materializes its input and sorts it
+// with the legacy executor's orderRows, preserving its exact key-resolution
+// and error semantics (including the nil-src quirk after an all-duplicate
+// DISTINCT).
 type sortIter struct {
 	n     *PlanNode
 	child iterator
@@ -678,15 +526,13 @@ func (s *sortIter) Open(ec *execCtx) error {
 	if err != nil {
 		return err
 	}
-	rel := &Relation{Cols: s.n.schema.Cols, Quals: s.n.schema.Quals, Rows: rows}
 	if srcs == nil && !op.distinctUpstream {
 		srcs = [][]Value{}
 	}
-	input := &Relation{Cols: op.in.Cols, Quals: op.in.Quals}
-	if err := orderRelation(rel, input, srcs, op.keys); err != nil {
+	if err := orderRows(rows, srcs, op.keys); err != nil {
 		return err
 	}
-	s.rows = rel.Rows
+	s.rows = rows
 	return nil
 }
 
@@ -713,30 +559,23 @@ type topkEntry struct {
 // popped whenever a better row arrives.
 type topkHeap struct {
 	entries []topkEntry
-	keys    []sp.OrderItem
+	keys    []orderKey
 }
 
 // before reports whether a sorts strictly before b in the final order
 // (ties broken by arrival order, which makes the order total and the
 // result identical to a stable sort).
 func (h *topkHeap) before(a, b *topkEntry) bool {
-	for j, k := range h.keys {
-		c := Compare(a.keys[j], b.keys[j])
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return c > 0
-		}
+	if c := compareKeys(h.keys, a.keys, b.keys); c != 0 {
 		return c < 0
 	}
 	return a.seq < b.seq
 }
 
-func (h *topkHeap) Len() int            { return len(h.entries) }
-func (h *topkHeap) Less(i, j int) bool  { return h.before(&h.entries[j], &h.entries[i]) }
-func (h *topkHeap) Swap(i, j int)       { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *topkHeap) Push(x interface{})  { h.entries = append(h.entries, x.(topkEntry)) }
+func (h *topkHeap) Len() int           { return len(h.entries) }
+func (h *topkHeap) Less(i, j int) bool { return h.before(&h.entries[j], &h.entries[i]) }
+func (h *topkHeap) Swap(i, j int)      { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+func (h *topkHeap) Push(x interface{}) { h.entries = append(h.entries, x.(topkEntry)) }
 func (h *topkHeap) Pop() interface{} {
 	n := len(h.entries)
 	e := h.entries[n-1]
@@ -745,9 +584,9 @@ func (h *topkHeap) Pop() interface{} {
 }
 
 // topkIter fuses ORDER BY with LIMIT k: a bounded heap keeps the k best
-// rows seen so far, never buffering the full input. Keys resolve exactly
-// as the legacy orderRelation classified them at plan time (output
-// columns, else the originating input row).
+// rows seen so far, never buffering the full input. Keys resolve as
+// compileOrder classified them at plan time (output columns, else the
+// originating input row), exactly as the blocking sort does.
 type topkIter struct {
 	n     *PlanNode
 	child iterator
@@ -762,8 +601,7 @@ func (t *topkIter) Open(ec *execCtx) error {
 	}
 	h := &topkHeap{keys: op.keys}
 	seq := 0
-	outSchema := op.out
-	inSchema := op.in
+	env := &evalEnv{idx: -1}
 	for {
 		row, src, err := t.child.Next()
 		if err != nil {
@@ -774,13 +612,11 @@ func (t *topkIter) Open(ec *execCtx) error {
 		}
 		keys := make([]Value, len(op.keys))
 		for j, k := range op.keys {
-			var v Value
-			var err error
-			if op.useOutput[j] {
-				v, err = eval(k.Expr, &evalContext{rel: outSchema, row: row, rowIdx: -1})
-			} else {
-				v, err = eval(k.Expr, &evalContext{rel: inSchema, row: src, rowIdx: -1})
+			env.row = row
+			if !k.useOutput {
+				env.row = src
 			}
+			v, err := k.fn(env)
 			if err != nil {
 				return err
 			}
@@ -801,9 +637,9 @@ func (t *topkIter) Open(ec *execCtx) error {
 	// Replicate the legacy nil-src error: DISTINCT that deduplicated away
 	// every row leaves input-resolved keys with nothing to bind against.
 	if seq == 0 && op.distinctUpstream {
-		for j, k := range op.keys {
-			if !op.useOutput[j] {
-				return fmt.Errorf("sqlexec: ORDER BY key %q not found in output or input columns", k.Expr)
+		for j := range op.keys {
+			if !op.keys[j].useOutput {
+				return op.keys[j].notFound()
 			}
 		}
 	}

@@ -2,10 +2,15 @@ package sqlexec
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	sp "explainit/internal/sqlparse"
+	ts "explainit/internal/timeseries"
+	"explainit/internal/tsdb"
 )
 
 // TestPlannerLegacyDifferential runs a broad query grid through both the
@@ -43,6 +48,24 @@ func TestPlannerLegacyDifferential(t *testing.T) {
 		`SELECT hostname FROM processes WHERE stime BETWEEN 1 AND 4 ORDER BY stime`,
 		`SELECT COALESCE(NULL, value) AS v FROM tsdb WHERE metric_name = 'disk' AND value >= 2 ORDER BY v`,
 		`SELECT metric_name, COUNT(value) AS n FROM tsdb GROUP BY metric_name ORDER BY n DESC, metric_name LIMIT 2`,
+		// GLOB and LIKE: literal patterns (compiled once per plan) with
+		// leading, middle, trailing and doubled stars; column-valued and
+		// NULL patterns (compiled per row); patterns inside a projection,
+		// a CASE, GROUP BY keys and a join condition.
+		`SELECT timestamp, value FROM tsdb WHERE metric_name GLOB '*_rate' ORDER BY timestamp, value`,
+		`SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb WHERE metric_name GLOB 'pipeline*time'`,
+		`SELECT tag, MAX(value) AS hi FROM tsdb WHERE metric_name GLOB 'pipeline_*' GROUP BY tag ORDER BY hi DESC LIMIT 3`,
+		`SELECT DISTINCT metric_name FROM tsdb WHERE metric_name GLOB 'pipe**rate' ORDER BY metric_name`,
+		`SELECT value FROM tsdb WHERE tag['host'] GLOB 'datanode-*' AND tag['type'] GLOB '*ea*' ORDER BY value`,
+		`SELECT COUNT(*) AS n FROM tsdb WHERE metric_name GLOB metric_name`,
+		`SELECT metric_name GLOB NULL AS g, metric_name LIKE NULL AS l FROM tsdb ORDER BY timestamp LIMIT 2`,
+		`SELECT DISTINCT metric_name FROM tsdb WHERE metric_name NOT LIKE 'pipeline%' ORDER BY metric_name`,
+		`SELECT DISTINCT metric_name FROM tsdb WHERE metric_name LIKE 'd_sk' OR metric_name LIKE '%_rate' ORDER BY metric_name`,
+		`SELECT metric_name GLOB '*rate' AS r, COUNT(*) AS n FROM tsdb GROUP BY metric_name GLOB '*rate' ORDER BY r`,
+		`SELECT CASE WHEN metric_name GLOB 'pipeline_*' THEN 'pipe' ELSE 'other' END AS k, SUM(value) AS s FROM tsdb GROUP BY CASE WHEN metric_name GLOB 'pipeline_*' THEN 'pipe' ELSE 'other' END ORDER BY k`,
+		`SELECT h.hostname, p.service_name FROM hosts h JOIN processes p ON h.hostname = p.hostname AND p.service_name GLOB 'ng*'`,
+		`SELECT h.hostname, p.stime FROM hosts h LEFT JOIN processes p ON p.hostname GLOB h.hostname ORDER BY p.stime`,
+		`SELECT hostname FROM (SELECT hostname FROM hosts WHERE hostname = 'none') x WHERE hostname GLOB '` + "\xff" + `*'`,
 	}
 	for _, q := range queries {
 		stmt, err := sp.ParseStatement(q)
@@ -76,6 +99,8 @@ func TestPlannerLegacyErrorParity(t *testing.T) {
 		`SELECT AVG(hostname) AS a FROM hosts`,
 		`SELECT *, COUNT(*) AS n FROM hosts GROUP BY hostname`,
 		`SELECT AVG() AS a FROM hosts`,
+		`SELECT hostname FROM hosts WHERE hostname GLOB 'web` + "\xff" + `*'`,
+		`SELECT hostname GLOB os_version || '` + "\xfe" + `' AS g FROM hosts`,
 	}
 	for _, q := range queries {
 		stmt, err := sp.ParseStatement(q)
@@ -91,6 +116,42 @@ func TestPlannerLegacyErrorParity(t *testing.T) {
 		if werr.Error() != gerr.Error() {
 			t.Errorf("%q: error text divergence:\nlegacy:  %v\nplanner: %v", q, werr, gerr)
 		}
+	}
+}
+
+// TestInvalidGlobErrorText pins the error an invalid-UTF-8 GLOB pattern
+// raises to the text of the regexp translation it replaced, through both
+// executors and through a pushdown catalog (an invalid pattern is never
+// pushed, so the store cannot reject the scan first), and pins that over
+// an empty input it raises nothing.
+func TestInvalidGlobErrorText(t *testing.T) {
+	pattern := "cpu\xff*"
+	_, want := globValueMatch("cpu", pattern)
+	if want == nil {
+		t.Fatal("oracle accepted an invalid-UTF-8 pattern")
+	}
+	cat := planCatalog(t)
+	for _, q := range []string{
+		`SELECT value FROM tsdb WHERE metric_name GLOB '` + pattern + `'`,
+		`SELECT value FROM tsdb WHERE tag['host'] GLOB '` + pattern + `'`,
+	} {
+		stmt, err := sp.ParseStatement(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, werr := ExecuteStatementLegacy(context.Background(), stmt, cat, nil)
+		_, gerr := ExecuteStatement(context.Background(), stmt, cat, nil)
+		if werr == nil || gerr == nil || werr.Error() != want.Error() || gerr.Error() != want.Error() {
+			t.Errorf("%q:\nlegacy:  %v\nplanner: %v\nwant:    %v", q, werr, gerr, want)
+		}
+	}
+	empty := `SELECT value FROM tsdb WHERE metric_name = 'absent' AND metric_name GLOB '` + pattern + `'`
+	stmt, err := sp.ParseStatement(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := ExecuteStatement(context.Background(), stmt, cat, nil); err != nil || rel.NumRows() != 0 {
+		t.Errorf("%q over an empty scan: rows=%v err=%v, want no rows and no error", empty, rel, err)
 	}
 }
 
@@ -173,5 +234,121 @@ func TestDedupAllocations(t *testing.T) {
 	// over 1500.
 	if allocs > 200 {
 		t.Errorf("dedupRows allocates %.0f times per run; hash-based dedup regressed", allocs)
+	}
+}
+
+// sameRelationBits reports whether two relations hold the same columns and
+// bitwise-identical values.
+func sameRelationBits(a, b *Relation) bool {
+	if strings.Join(a.Cols, ",") != strings.Join(b.Cols, ",") || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if len(a.Rows[i]) != len(b.Rows[i]) {
+			return false
+		}
+		for j, v := range a.Rows[i] {
+			if !sameResult(v, nil, b.Rows[i][j], nil) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestCachedPlanConcurrent runs each of a few cached plans — a
+// dashboard-shaped GLOB + GROUP BY + ORDER BY/LIMIT, a window-buffered
+// projection and a glob join — from 8 goroutines at once. Every result
+// must be bitwise equal to a serial run: the compiled closures a plan
+// shares between executions hold no per-execution state.
+func TestCachedPlanConcurrent(t *testing.T) {
+	cat := planCatalog(t)
+	queries := []string{
+		`SELECT tag, MAX(value) AS hi, COUNT(*) AS n, AVG(value) AS v FROM tsdb WHERE metric_name GLOB '*_usage' AND tag['host'] GLOB 'web-*' GROUP BY tag ORDER BY hi DESC, tag LIMIT 3`,
+		`SELECT value, DELTA(value) AS d, value LIKE '%5' AS f FROM tsdb WHERE metric_name GLOB 'cpu*' ORDER BY timestamp, tag`,
+		`SELECT h.os, COUNT(*) AS n FROM tsdb t JOIN hosts h ON h.hostname GLOB '*' || t.tag['host'] GROUP BY h.os`,
+	}
+	for _, q := range queries {
+		stmt, err := sp.ParseStatement(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		plan, err := PlanStatement(stmt, cat)
+		if err != nil {
+			t.Fatalf("plan %q: %v", q, err)
+		}
+		want, err := ExecutePlan(context.Background(), plan, cat, nil)
+		if err != nil {
+			t.Fatalf("serial %q: %v", q, err)
+		}
+		if want.NumRows() == 0 {
+			t.Fatalf("%q selects nothing; the test would prove nothing", q)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					got, err := ExecutePlan(context.Background(), plan, cat, nil)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !sameRelationBits(want, got) {
+						errs <- fmt.Errorf("result diverged from the serial run:\n%s\nvs\n%s", got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("%q: %v", q, err)
+		}
+	}
+}
+
+// TestResidualFilterAllocBudget pins that the residual GLOB filter and a
+// streaming COUNT(*) allocate nothing per row: on a warm relation, ten
+// times the rows may cost at most a few more allocations (the plan's
+// operators and spans allocate per execution, not per row).
+func TestResidualFilterAllocBudget(t *testing.T) {
+	allocs := func(rows int) float64 {
+		db := tsdb.New()
+		for i := 0; i < rows; i++ {
+			name := "x_metric"
+			if i%2 == 1 {
+				name = "y_metric"
+			}
+			db.Put(name, ts.Tags{"host": fmt.Sprintf("h%d", i%4)}, t0.Add(time.Duration(i)*time.Second), float64(i))
+		}
+		cat := NewMemCatalog()
+		if err := cat.RegisterTSDB("tsdb", db); err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := sp.ParseStatement(`SELECT COUNT(*) AS n FROM tsdb WHERE metric_name GLOB 'x*'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := PlanStatement(stmt, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			rel, err := ExecutePlan(context.Background(), plan, cat, nil)
+			if err != nil || rel.Rows[0][0].F != float64(rows/2) {
+				t.Fatalf("COUNT(*) = %v, %v; want %d", rel, err, rows/2)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(5, run)
+	}
+	small, large := allocs(1000), allocs(10000)
+	t.Logf("%.0f allocations at 1000 rows, %.0f at 10000", small, large)
+	if large-small > 4 {
+		t.Errorf("residual filter allocates per row: %.0f allocations at 1000 rows, %.0f at 10000", small, large)
 	}
 }

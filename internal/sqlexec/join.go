@@ -2,7 +2,6 @@ package sqlexec
 
 import (
 	"fmt"
-	"strings"
 
 	sp "explainit/internal/sqlparse"
 )
@@ -154,117 +153,116 @@ func nullRow(n int) []Value {
 	return row
 }
 
-// executeJoin dispatches to hash join when the ON clause is a pure
-// equi-join, otherwise to a nested loop. The hash join builds on the
-// smaller side — the "broadcast join" optimisation of §4.2 (the target and
-// conditioning tables are tiny next to the feature-family table).
-func executeJoin(j *sp.Join, left, right *Relation) (*Relation, error) {
-	if keys := extractEquiKeys(j.On, left, right); keys != nil {
-		return hashJoin(j.Type, left, right, keys)
+// compileJoin compiles a join condition against the input schemas: a pure
+// equi-join into per-side key expressions for the hash join, anything else
+// into the ON condition over the joined schema for the nested loop. It
+// also returns the equi-join conjuncts (nil for a nested loop).
+func compileJoin(j *sp.Join, left, right *Relation) (*joinOp, []equiKey) {
+	op := &joinOp{join: j, left: left, right: right}
+	keys := extractEquiKeys(j.On, left, right)
+	if keys == nil {
+		op.on = compileExpr(j.On, joinedRelation(left, right))
+		return op, nil
 	}
-	return nestedLoopJoin(j, left, right)
+	for _, k := range keys {
+		op.lkeys = append(op.lkeys, compileExpr(k.leftExpr, left))
+		op.rkeys = append(op.rkeys, compileExpr(k.rightExpr, right))
+	}
+	return op, keys
 }
 
-func hashJoin(jt sp.JoinType, left, right *Relation, keys []equiKey) (*Relation, error) {
+// executeJoin dispatches to hash join when the ON clause is a pure
+// equi-join, otherwise to a nested loop. The hash join builds on the
+// right side — the "broadcast join" optimisation of §4.2 (the target and
+// conditioning tables are tiny next to the feature-family table).
+func executeJoin(j *sp.Join, left, right *Relation) (*Relation, error) {
+	op, _ := compileJoin(j, left, right)
 	out := joinedRelation(left, right)
-
-	rightKey := func(row []Value) (string, error) {
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			v, err := eval(k.rightExpr, &evalContext{rel: right, row: row, rowIdx: -1})
-			if err != nil {
-				return "", err
-			}
-			if v.IsNull() {
-				return "", nil // NULL keys never match
-			}
-			parts[i] = v.Key()
-		}
-		return strings.Join(parts, "\x1f"), nil
+	var err error
+	if op.lkeys != nil {
+		out.Rows, err = hashJoin(op, left.Rows, right.Rows)
+	} else {
+		out.Rows, err = nestedLoopJoin(op, left.Rows, right.Rows)
 	}
-	leftKey := func(row []Value) (string, error) {
-		parts := make([]string, len(keys))
-		for i, k := range keys {
-			v, err := eval(k.leftExpr, &evalContext{rel: left, row: row, rowIdx: -1})
-			if err != nil {
-				return "", err
-			}
-			if v.IsNull() {
-				return "", nil
-			}
-			parts[i] = v.Key()
-		}
-		return strings.Join(parts, "\x1f"), nil
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
+}
 
-	// Build on the right side (conventionally the broadcast side).
+func hashJoin(op *joinOp, lrows, rrows [][]Value) ([][]Value, error) {
+	jt := op.join.Type
+	var h rowHasher
+	env := &evalEnv{}
 	table := make(map[string][]int)
-	for i, row := range right.Rows {
-		key, err := rightKey(row)
+	for i, row := range rrows {
+		key, ok, err := joinKey(&h, op.rkeys, env, row)
 		if err != nil {
 			return nil, err
 		}
-		if key == "" {
-			continue
+		if ok {
+			table[key] = append(table[key], i)
 		}
-		table[key] = append(table[key], i)
 	}
-	rightMatched := make([]bool, len(right.Rows))
-	for _, lrow := range left.Rows {
-		key, err := leftKey(lrow)
+	var out [][]Value
+	rightMatched := make([]bool, len(rrows))
+	for _, lrow := range lrows {
+		key, ok, err := joinKey(&h, op.lkeys, env, lrow)
 		if err != nil {
 			return nil, err
 		}
-		matches := table[key]
-		if key == "" {
-			matches = nil
+		var matches []int
+		if ok {
+			matches = table[key]
 		}
 		if len(matches) == 0 {
 			if jt == sp.JoinLeft || jt == sp.JoinFullOuter {
-				out.Rows = append(out.Rows, append(append([]Value{}, lrow...), nullRow(right.NumCols())...))
+				out = append(out, combineRows(lrow, nullRow(op.right.NumCols())))
 			}
 			continue
 		}
 		for _, ri := range matches {
 			rightMatched[ri] = true
-			out.Rows = append(out.Rows, append(append([]Value{}, lrow...), right.Rows[ri]...))
+			out = append(out, combineRows(lrow, rrows[ri]))
 		}
 	}
 	if jt == sp.JoinFullOuter {
 		for ri, matched := range rightMatched {
 			if !matched {
-				out.Rows = append(out.Rows, append(nullRow(left.NumCols()), right.Rows[ri]...))
+				out = append(out, combineRows(nullRow(op.left.NumCols()), rrows[ri]))
 			}
 		}
 	}
 	return out, nil
 }
 
-func nestedLoopJoin(j *sp.Join, left, right *Relation) (*Relation, error) {
-	out := joinedRelation(left, right)
-	rightMatched := make([]bool, len(right.Rows))
-	for _, lrow := range left.Rows {
+func nestedLoopJoin(op *joinOp, lrows, rrows [][]Value) ([][]Value, error) {
+	jt := op.join.Type
+	var out [][]Value
+	env := &evalEnv{idx: -1}
+	rightMatched := make([]bool, len(rrows))
+	for _, lrow := range lrows {
 		matchedAny := false
-		for ri, rrow := range right.Rows {
-			combined := append(append([]Value{}, lrow...), rrow...)
-			v, err := eval(j.On, &evalContext{rel: out, row: combined, rowIdx: -1})
+		for ri, rrow := range rrows {
+			env.row = combineRows(lrow, rrow)
+			v, err := op.on(env)
 			if err != nil {
 				return nil, err
 			}
 			if v.Truthy() {
 				matchedAny = true
 				rightMatched[ri] = true
-				out.Rows = append(out.Rows, combined)
+				out = append(out, env.row)
 			}
 		}
-		if !matchedAny && (j.Type == sp.JoinLeft || j.Type == sp.JoinFullOuter) {
-			out.Rows = append(out.Rows, append(append([]Value{}, lrow...), nullRow(right.NumCols())...))
+		if !matchedAny && (jt == sp.JoinLeft || jt == sp.JoinFullOuter) {
+			out = append(out, combineRows(lrow, nullRow(op.right.NumCols())))
 		}
 	}
-	if j.Type == sp.JoinFullOuter {
+	if jt == sp.JoinFullOuter {
 		for ri, matched := range rightMatched {
 			if !matched {
-				out.Rows = append(out.Rows, append(nullRow(left.NumCols()), right.Rows[ri]...))
+				out = append(out, combineRows(nullRow(op.left.NumCols()), rrows[ri]))
 			}
 		}
 	}

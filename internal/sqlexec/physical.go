@@ -11,9 +11,9 @@ import (
 // (JSON-tagged) fields are the stable, test-pinned serialization that
 // EXPLAIN PLAN returns, and the unexported payloads carry everything the
 // iterator executor needs, so execution never re-derives anything from the
-// AST shape. Payloads reference the original sqlparse expressions — plans
-// hold no mutable state and one planned statement may execute many times,
-// concurrently, against the same catalog.
+// AST shape. Payload expressions are compiled closures (compile.go) bound
+// to row slots — plans hold no mutable state and one planned statement may
+// execute many times, concurrently, against the same catalog.
 
 // Operator names (the "op" JSON field).
 const (
@@ -110,42 +110,24 @@ type scanOp struct {
 }
 
 type filterOp struct {
-	pred      sp.Expr
-	in        *Relation // input schema
+	pred      exprFn
 	streaming bool
-}
-
-type projItem struct {
-	expr sp.Expr
-	star bool
 }
 
 type projectOp struct {
-	stmt      *sp.SelectStmt // buffered fallback runs executeProjection
 	items     []projItem
-	in        *Relation
 	streaming bool
-}
-
-// aggSlot is one aggregate call site occupying an eager position of a
-// projection item; the streaming aggregator accumulates it incrementally
-// and substitutes the finalized value via evalContext.aggVals.
-type aggSlot struct {
-	call *sp.FuncCall
 }
 
 type aggOp struct {
-	stmt      *sp.SelectStmt // buffered fallback runs executeGrouped
-	in        *Relation
+	g         *grouping
 	streaming bool
-	slots     []*aggSlot
 }
 
 type distinctOp struct{}
 
 type sortOp struct {
-	keys []sp.OrderItem
-	in   *Relation // post-WHERE input schema, for the input-column fallback
+	keys []orderKey
 	// distinctUpstream replicates a legacy quirk: after DISTINCT removed
 	// every row, the src slice is nil and an input-resolved ORDER BY key
 	// errors instead of ordering nothing.
@@ -153,11 +135,8 @@ type sortOp struct {
 }
 
 type topkOp struct {
-	keys             []sp.OrderItem
+	keys             []orderKey
 	k                int
-	useOutput        []bool // per key: resolve against output (else input+src)
-	in               *Relation
-	out              *Relation
 	distinctUpstream bool
 }
 
@@ -166,10 +145,11 @@ type limitOp struct {
 }
 
 type joinOp struct {
-	join        *sp.Join
-	keys        []equiKey // nil for nested loop
-	buildLeft   bool      // reverse hash join (INNER only): build on the smaller left
-	left, right *Relation // child schemas (qualified)
+	join         *sp.Join
+	lkeys, rkeys []exprFn  // equi-join keys per side; nil for nested loop
+	on           exprFn    // nested loop: ON over the joined schema
+	buildLeft    bool      // reverse hash join (INNER only): build on the smaller left
+	left, right  *Relation // child schemas (qualified)
 }
 
 type unionOp struct {

@@ -21,7 +21,9 @@ import (
 // difference between streaming and materialized evaluation (window
 // functions, which read the whole input relation and pre-filter row
 // indexes), the affected operator degrades to buffered mode and runs the
-// legacy code on a materialized input.
+// legacy executor's code on a materialized input. Every expression is
+// compiled here, once per plan (compile.go); execution only calls the
+// compiled closures.
 
 // PlanStatement compiles a statement against a catalog. The catalog is
 // consulted for table schemas (via SchemaCatalog/PushdownCatalog when
@@ -130,22 +132,15 @@ func (pl *planner) planSingle(stmt *sp.SelectStmt) (*PlanNode, error) {
 			Predicate: stmt.Where.String(),
 			Children:  []*PlanNode{input},
 			schema:    inSchema,
-			filter:    &filterOp{pred: stmt.Where, in: inSchema, streaming: !windowed},
+			filter:    &filterOp{pred: compileExpr(stmt.Where, inSchema), streaming: !windowed},
 		}
 	}
 	pl.finalizeScans(scans)
 	pl.pickBuildSides(input)
 
 	// GROUP BY / projection.
-	hasAgg := false
-	for _, item := range stmt.Items {
-		if containsAggregate(item.Expr) {
-			hasAgg = true
-			break
-		}
-	}
 	var out *PlanNode
-	if len(stmt.GroupBy) > 0 || hasAgg {
+	if isGrouped(stmt) {
 		out = pl.planAggregate(stmt, input, inSchema)
 	} else {
 		out = pl.planProjection(stmt, input, inSchema)
@@ -172,11 +167,10 @@ func (pl *planner) planSingle(stmt *sp.SelectStmt) (*PlanNode, error) {
 				windowed = true
 			}
 		}
-		useOutput := make([]bool, len(stmt.OrderBy))
+		keys := compileOrder(stmt.OrderBy, outSchema, inSchema)
 		resolvable := true
-		for j, k := range stmt.OrderBy {
-			useOutput[j] = refsOnly(k.Expr, outSchema)
-			if !useOutput[j] && !refsOnly(k.Expr, inSchema) {
+		for _, k := range keys {
+			if !k.useOutput && !k.inputOK {
 				resolvable = false
 			}
 		}
@@ -189,14 +183,7 @@ func (pl *planner) planSingle(stmt *sp.SelectStmt) (*PlanNode, error) {
 				Limit:    intp(k),
 				Children: []*PlanNode{out},
 				schema:   outSchema,
-				topk: &topkOp{
-					keys:             stmt.OrderBy,
-					k:                k,
-					useOutput:        useOutput,
-					in:               inSchema,
-					out:              outSchema,
-					distinctUpstream: stmt.Distinct,
-				},
+				topk:     &topkOp{keys: keys, k: k, distinctUpstream: stmt.Distinct},
 			}
 			return out, nil
 		}
@@ -206,11 +193,7 @@ func (pl *planner) planSingle(stmt *sp.SelectStmt) (*PlanNode, error) {
 			OrderBy:  orderStrs,
 			Children: []*PlanNode{out},
 			schema:   outSchema,
-			sorter: &sortOp{
-				keys:             stmt.OrderBy,
-				in:               inSchema,
-				distinctUpstream: stmt.Distinct,
-			},
+			sorter:   &sortOp{keys: keys, distinctUpstream: stmt.Distinct},
 		}
 	}
 
@@ -231,21 +214,13 @@ func intp(v int) *int { return &v }
 // planProjection builds the project node. Streaming unless a window
 // function needs the materialized input.
 func (pl *planner) planProjection(stmt *sp.SelectStmt, input *PlanNode, inSchema *Relation) *PlanNode {
-	var cols []string
-	var items []projItem
 	windowed := false
 	for _, item := range stmt.Items {
-		if _, ok := item.Expr.(*sp.Star); ok {
-			cols = append(cols, inSchema.Cols...)
-			items = append(items, projItem{star: true})
-			continue
-		}
-		cols = append(cols, outputName(item))
-		items = append(items, projItem{expr: item.Expr})
 		if containsWindow(item.Expr) {
 			windowed = true
 		}
 	}
+	cols, items := compileProjection(stmt.Items, inSchema)
 	mode := modeStreaming
 	if windowed {
 		mode = modeBuffered
@@ -256,25 +231,23 @@ func (pl *planner) planProjection(stmt *sp.SelectStmt, input *PlanNode, inSchema
 		Columns:  cols,
 		Children: []*PlanNode{input},
 		schema:   NewRelation(cols...),
-		proj:     &projectOp{stmt: stmt, items: items, in: inSchema, streaming: !windowed},
+		proj:     &projectOp{items: items, streaming: !windowed},
 	}
 }
 
 // planAggregate builds the aggregation node. Streaming aggregation
-// accumulates per-group slot state row by row and substitutes finalized
-// values into the item expressions via evalContext.aggVals; it is only
-// chosen when that substitution is observationally identical to the legacy
+// accumulates per-group slot state row by row and hands the finalized
+// values to the compiled items through evalEnv.aggs; it is only chosen
+// when that substitution is observationally identical to the legacy
 // two-pass evaluation — every aggregate call must sit in an eagerly
-// evaluated position (the legacy evaluator never computes an aggregate
-// under a short-circuited branch), and group keys must be window-free.
+// evaluated position (evaluation never computes an aggregate under a
+// short-circuited branch), and group keys must be window-free.
 func (pl *planner) planAggregate(stmt *sp.SelectStmt, input *PlanNode, inSchema *Relation) *PlanNode {
 	starPresent := false
-	cols := make([]string, len(stmt.Items))
-	for i, item := range stmt.Items {
+	for _, item := range stmt.Items {
 		if _, ok := item.Expr.(*sp.Star); ok {
 			starPresent = true
 		}
-		cols[i] = outputName(item)
 	}
 	gbStrs := make([]string, len(stmt.GroupBy))
 	gbWindowed := false
@@ -284,7 +257,7 @@ func (pl *planner) planAggregate(stmt *sp.SelectStmt, input *PlanNode, inSchema 
 			gbWindowed = true
 		}
 	}
-	var slots []*aggSlot
+	var slots []*sp.FuncCall
 	eligible := !starPresent && !gbWindowed
 	if eligible {
 		for _, item := range stmt.Items {
@@ -300,11 +273,12 @@ func (pl *planner) planAggregate(stmt *sp.SelectStmt, input *PlanNode, inSchema 
 		mode = modeBuffered
 		slots = nil
 	} else {
-		for _, s := range slots {
-			aggStrs = append(aggStrs, s.call.String())
+		for _, call := range slots {
+			aggStrs = append(aggStrs, call.String())
 		}
 	}
-	schema := NewRelation(cols...)
+	g := compileGrouping(stmt, inSchema, slots)
+	schema := NewRelation(g.cols...)
 	if starPresent {
 		// SELECT * with GROUP BY is a runtime error raised by the buffered
 		// path after the input executes, matching legacy error ordering.
@@ -318,17 +292,17 @@ func (pl *planner) planAggregate(stmt *sp.SelectStmt, input *PlanNode, inSchema 
 		Aggregates: aggStrs,
 		Children:   []*PlanNode{input},
 		schema:     schema,
-		agg:        &aggOp{stmt: stmt, in: inSchema, streaming: eligible, slots: slots},
+		agg:        &aggOp{g: g, streaming: eligible},
 	}
 }
 
 // collectEagerAggs walks an item expression tracking whether the current
-// position is always evaluated by the legacy evaluator (eager) or may be
+// position is always evaluated (eager) or may be
 // skipped by short-circuiting (lazy). Aggregates in eager positions become
 // slots; an aggregate in a lazy position returns false — the statement
 // falls back to buffered grouping, because precomputing it could evaluate
 // (and fail on) expressions the legacy path never touches.
-func collectEagerAggs(e sp.Expr, eager bool, slots *[]*aggSlot) bool {
+func collectEagerAggs(e sp.Expr, eager bool, slots *[]*sp.FuncCall) bool {
 	switch x := e.(type) {
 	case nil:
 		return true
@@ -340,7 +314,7 @@ func collectEagerAggs(e sp.Expr, eager bool, slots *[]*aggSlot) bool {
 			// Args are evaluated per-row by the accumulator with the same
 			// context the legacy aggregate uses; nested aggregates inside
 			// them fail identically there, so don't descend.
-			*slots = append(*slots, &aggSlot{call: x})
+			*slots = append(*slots, x)
 			return true
 		}
 		switch x.Name {
@@ -461,15 +435,15 @@ func (pl *planner) planFrom(ref sp.TableRef) (*PlanNode, *Relation, []*scanSlot,
 			sl.shift(ls.NumCols())
 		}
 		slots := append(lslots, rslots...)
+		op, keys := compileJoin(t, ls, rs)
 		node := &PlanNode{
 			JoinType: joinTypeName(t.Type),
 			Children: []*PlanNode{left, right},
 			schema:   schema,
-			join:     &joinOp{join: t, left: ls, right: rs},
+			join:     op,
 		}
-		if keys := extractEquiKeys(t.On, ls, rs); keys != nil {
+		if keys != nil {
 			node.Op = opHashJoin
-			node.join.keys = keys
 			node.BuildSide = "right"
 			jk := make([]string, len(keys))
 			for i, k := range keys {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	sp "explainit/internal/sqlparse"
 	"explainit/internal/tsdb"
@@ -243,11 +244,11 @@ func applyPushdown(where sp.Expr, schema *Relation, scans []*scanSlot) {
 // the enclosing joined schema. tsIdx/metricIdx/tagIdx are absolute column
 // indexes of the canonical columns (-1 when the table lacks them).
 type scanSlot struct {
-	node                   *PlanNode
-	lo, hi                 int
-	capable                bool
+	node                     *PlanNode
+	lo, hi                   int
+	capable                  bool
 	tsIdx, metricIdx, tagIdx int
-	pending                *ScanSpec
+	pending                  *ScanSpec
 }
 
 func (sl *scanSlot) spec() *ScanSpec {
@@ -514,7 +515,10 @@ func likeToGlob(pattern string) (string, bool) {
 	return g, true
 }
 
-// usefulGlob reports whether a glob constrains anything at all.
+// usefulGlob reports whether a glob constrains anything at all. A pattern
+// that is not valid UTF-8 is never pushed: the store would reject the scan
+// up front, where the residual filter raises its own error only once it
+// evaluates a row.
 func usefulGlob(g string) bool {
-	return g != "" && strings.Trim(g, "*") != ""
+	return g != "" && strings.Trim(g, "*") != "" && utf8.ValidString(g)
 }

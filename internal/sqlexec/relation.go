@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -203,7 +204,7 @@ func (r *Relation) FloatColumn(name string) ([]float64, error) {
 	for i, row := range r.Rows {
 		v := row[idx]
 		if v.IsNull() {
-			out[i] = nan()
+			out[i] = math.NaN()
 			continue
 		}
 		f, ok := v.AsFloat()

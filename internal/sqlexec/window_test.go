@@ -37,7 +37,7 @@ func TestMovAvgErrors(t *testing.T) {
 		`SELECT MOVAVG(v) FROM t`,
 		`SELECT MOVAVG(v, 0) FROM t`,
 	} {
-		if _, err := Run(q, cat); err == nil {
+		if _, err := runSQL(q, cat); err == nil {
 			t.Fatalf("expected error for %q", q)
 		}
 	}
@@ -55,7 +55,7 @@ func TestDelta(t *testing.T) {
 			t.Fatalf("delta[%d] = %v want %g", i+1, rel.Rows[i+1][0], w)
 		}
 	}
-	if _, err := Run(`SELECT DELTA(v, 2) FROM t`, cat); err == nil {
+	if _, err := runSQL(`SELECT DELTA(v, 2) FROM t`, cat); err == nil {
 		t.Fatal("arity error expected")
 	}
 }

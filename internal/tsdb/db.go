@@ -8,9 +8,7 @@ package tsdb
 
 import (
 	"errors"
-	"fmt"
 	"os"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -474,26 +472,6 @@ type Query struct {
 	Tags        ts.Tags // exact tag matches (all must hold)
 	TagPatterns ts.Tags // glob tag matches (all must hold)
 	Range       ts.TimeRange
-}
-
-// globToRegexp translates a '*' glob into an anchored regular expression.
-// Run compiles through the bounded pattern cache (see query.go) instead of
-// calling this directly.
-func globToRegexp(glob string) (*regexp.Regexp, error) {
-	var b strings.Builder
-	b.WriteByte('^')
-	for i, part := range strings.Split(glob, "*") {
-		if i > 0 {
-			b.WriteString(".*")
-		}
-		b.WriteString(regexp.QuoteMeta(part))
-	}
-	b.WriteByte('$')
-	re, err := regexp.Compile(b.String())
-	if err != nil {
-		return nil, fmt.Errorf("tsdb: bad glob %q: %w", glob, err)
-	}
-	return re, nil
 }
 
 // Retain drops all samples outside the given range across every series and

@@ -1,9 +1,8 @@
 package tsdb
 
 import (
-	"container/list"
 	"context"
-	"regexp"
+	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -13,8 +12,8 @@ import (
 	ts "explainit/internal/timeseries"
 )
 
-// Query planning and execution. A Run call compiles its globs once (via a
-// bounded LRU of compiled patterns), then fans the compiled plan out to
+// Query planning and execution. A Run call compiles its globs once (a
+// Glob is just the checked pattern), then fans the compiled plan out to
 // every shard in parallel. Each shard picks the narrowest inverted index
 // available to it, filters and copies its matches in series-ID order, and
 // the per-shard results are merged by ID — so the output is bitwise
@@ -23,29 +22,29 @@ import (
 // compiledQuery is the executable plan for one Run call: globs compiled,
 // the effective time range resolved.
 type compiledQuery struct {
-	q      Query
-	nameRe *regexp.Regexp
-	tagRes map[string]*regexp.Regexp
-	rng    ts.TimeRange
+	q        Query
+	nameGlob *Glob
+	tagGlobs map[string]Glob
+	rng      ts.TimeRange
 }
 
 func compileQuery(q Query) (*compiledQuery, error) {
 	cq := &compiledQuery{q: q, rng: q.Range}
 	if q.NamePattern != "" {
-		re, err := globRegexp(q.NamePattern)
+		g, err := compileQueryGlob(q.NamePattern)
 		if err != nil {
 			return nil, err
 		}
-		cq.nameRe = re
+		cq.nameGlob = &g
 	}
 	if len(q.TagPatterns) > 0 {
-		cq.tagRes = make(map[string]*regexp.Regexp, len(q.TagPatterns))
+		cq.tagGlobs = make(map[string]Glob, len(q.TagPatterns))
 		for k, pat := range q.TagPatterns {
-			re, err := globRegexp(pat)
+			g, err := compileQueryGlob(pat)
 			if err != nil {
 				return nil, err
 			}
-			cq.tagRes[k] = re
+			cq.tagGlobs[k] = g
 		}
 	}
 	if cq.rng.IsZero() {
@@ -54,19 +53,27 @@ func compileQuery(q Query) (*compiledQuery, error) {
 	return cq, nil
 }
 
+func compileQueryGlob(pattern string) (Glob, error) {
+	g, err := CompileGlob(pattern)
+	if err != nil {
+		return Glob{}, fmt.Errorf("tsdb: bad glob %q: %w", pattern, err)
+	}
+	return g, nil
+}
+
 // matches reports whether a series passes every filter of the plan.
 func (cq *compiledQuery) matches(s *ts.Series) bool {
 	if cq.q.Metric != "" && s.Name != cq.q.Metric {
 		return false
 	}
-	if cq.nameRe != nil && !cq.nameRe.MatchString(s.Name) {
+	if cq.nameGlob != nil && !cq.nameGlob.Match(s.Name) {
 		return false
 	}
 	if !s.Tags.Matches(cq.q.Tags) {
 		return false
 	}
-	for k, re := range cq.tagRes {
-		if !re.MatchString(s.Tags[k]) {
+	for k, g := range cq.tagGlobs {
+		if !g.Match(s.Tags[k]) {
 			return false
 		}
 	}
@@ -273,63 +280,4 @@ func (db *DB) EstimateQuery(q Query) int {
 		sh.mu.RUnlock()
 	}
 	return total
-}
-
-// globRegexp compiles a glob through the process-wide bounded LRU, so
-// repeated Run calls with the same patterns (dashboards, BuildFamilies
-// sweeps) skip regexp compilation.
-func globRegexp(pattern string) (*regexp.Regexp, error) {
-	return compiledGlobs.get(pattern)
-}
-
-// globCacheSize bounds the compiled-pattern LRU. Compile errors are not
-// cached (they are cheap and rare).
-const globCacheSize = 256
-
-var compiledGlobs = newGlobCache(globCacheSize)
-
-type globCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used; values are *globEntry
-	m   map[string]*list.Element
-}
-
-type globEntry struct {
-	pattern string
-	re      *regexp.Regexp
-}
-
-func newGlobCache(cap int) *globCache {
-	return &globCache{cap: cap, ll: list.New(), m: make(map[string]*list.Element, cap)}
-}
-
-func (c *globCache) get(pattern string) (*regexp.Regexp, error) {
-	c.mu.Lock()
-	if el, ok := c.m[pattern]; ok {
-		c.ll.MoveToFront(el)
-		re := el.Value.(*globEntry).re
-		c.mu.Unlock()
-		return re, nil
-	}
-	c.mu.Unlock()
-
-	re, err := globToRegexp(pattern) // compile outside the lock
-	if err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[pattern]; ok { // lost a compile race; keep the first
-		c.ll.MoveToFront(el)
-		return el.Value.(*globEntry).re, nil
-	}
-	c.m[pattern] = c.ll.PushFront(&globEntry{pattern: pattern, re: re})
-	if c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(*globEntry).pattern)
-	}
-	return re, nil
 }

@@ -401,35 +401,3 @@ func TestShardCountFromEnv(t *testing.T) {
 		t.Fatalf("bad EXPLAINIT_SHARDS must fall back to default, got %d", n)
 	}
 }
-
-func TestGlobCache(t *testing.T) {
-	c := newGlobCache(2)
-	re1, err := c.get("disk*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	re2, err := c.get("disk*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re1 != re2 {
-		t.Fatal("second get must return the cached regexp")
-	}
-	// Evict "disk*" (capacity 2, LRU order: net*, io* newest).
-	if _, err := c.get("net*"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.get("io*"); err != nil {
-		t.Fatal(err)
-	}
-	re3, err := c.get("disk*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re3 == re1 {
-		t.Fatal("evicted pattern must be recompiled")
-	}
-	if !re3.MatchString("disk1") || re3.MatchString("x-disk") {
-		t.Fatal("recompiled glob misbehaves")
-	}
-}
