@@ -3,8 +3,8 @@
 // It is the "dense array" substrate of ExplainIt! (§4.2 of the paper): all
 // feature-family data is materialised into contiguous row-major float64
 // buffers before any regression or correlation is computed. The package is
-// deliberately small: matrices, products, symmetric solves (Cholesky), QR,
-// and Gaussian sampling are all that the scoring pipeline needs.
+// deliberately small: matrices, products, symmetric solves (Cholesky) and
+// Gaussian sampling are all that the scoring pipeline needs.
 package linalg
 
 import (
@@ -93,15 +93,6 @@ func growFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
 }
 
 // At returns the element at row i, column j.
@@ -202,19 +193,6 @@ func (m *Matrix) MulTInto(b, out *Matrix) error {
 	return nil
 }
 
-// MulTRight returns m * b^T without materialising the transpose.
-func (m *Matrix) MulTRight(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: (%dx%d) * (%dx%d)^T", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Rows)
-	workers := kernelWorkers(m.Rows * m.Cols * b.Rows)
-	parallelRows(m.Rows, workers, func(lo, hi int) {
-		mulTRightRange(m, b, out, lo, hi)
-	})
-	return out, nil
-}
-
 // Gram returns m^T * m, the p x p Gram matrix (p = m.Cols).
 func (m *Matrix) Gram() *Matrix {
 	out := NewMatrix(m.Cols, m.Cols)
@@ -302,20 +280,6 @@ func (m *Matrix) SelectRows(idx []int) (*Matrix, error) {
 			return nil, fmt.Errorf("%w: row %d of %dx%d", ErrShape, r, m.Rows, m.Cols)
 		}
 		copy(out.Row(i), m.Row(r))
-	}
-	return out, nil
-}
-
-// SelectCols returns a new matrix holding the given columns, in order.
-func (m *Matrix) SelectCols(idx []int) (*Matrix, error) {
-	out := NewMatrix(m.Rows, len(idx))
-	for j, c := range idx {
-		if c < 0 || c >= m.Cols {
-			return nil, fmt.Errorf("%w: col %d of %dx%d", ErrShape, c, m.Rows, m.Cols)
-		}
-		for i := 0; i < m.Rows; i++ {
-			out.Data[i*out.Cols+j] = m.Data[i*m.Cols+c]
-		}
 	}
 	return out, nil
 }

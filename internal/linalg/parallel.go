@@ -313,15 +313,3 @@ func dot(a, b []float64) float64 {
 	}
 	return (s0 + s1) + (s2 + s3)
 }
-
-// mulTRightRange computes rows [lo, hi) of out = a * b^T (independent dot
-// products per cell).
-func mulTRightRange(a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = dot(arow, b.Row(j))
-		}
-	}
-}

@@ -30,7 +30,8 @@ func choleskyInto(a, l *Matrix) error {
 			d += lrowj[k] * lrowj[k]
 		}
 		d = a.At(j, j) - d
-		if d <= 0 {
+		// Negated so that a NaN pivot fails too: d <= 0 is false for NaN.
+		if !(d > 0) {
 			return fmt.Errorf("%w: pivot %d = %g", ErrSingular, j, d)
 		}
 		ljj := math.Sqrt(d)
@@ -182,148 +183,4 @@ func SolveSPD(a, b *Matrix) (*Matrix, error) {
 		return nil, err
 	}
 	return SolveCholesky(l, b)
-}
-
-// QR computes a thin Householder QR factorisation of a (rows >= cols),
-// returning Q (rows x cols, orthonormal columns) and R (cols x cols, upper
-// triangular) such that a = Q * R.
-func QR(a *Matrix) (q, r *Matrix, err error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		return nil, nil, fmt.Errorf("%w: thin QR needs rows >= cols, got %dx%d", ErrShape, m, n)
-	}
-	// Work on a copy; accumulate Householder vectors in-place below the
-	// diagonal and R on/above the diagonal.
-	work := a.Clone()
-	betas := make([]float64, n)
-	for k := 0; k < n; k++ {
-		// Build the Householder reflector for column k.
-		var norm float64
-		for i := k; i < m; i++ {
-			v := work.At(i, k)
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			betas[k] = 0
-			continue
-		}
-		alpha := work.At(k, k)
-		if alpha > 0 {
-			norm = -norm
-		}
-		v0 := alpha - norm
-		betas[k] = -v0 / norm // beta = v0^2 / (v0 * -norm) simplification with v normalised by v0
-		// Store the reflector scaled so v[k] = 1.
-		inv := 1 / v0
-		for i := k + 1; i < m; i++ {
-			work.Set(i, k, work.At(i, k)*inv)
-		}
-		work.Set(k, k, norm)
-		// Apply the reflector to the trailing columns.
-		for j := k + 1; j < n; j++ {
-			var s float64 = work.At(k, j)
-			for i := k + 1; i < m; i++ {
-				s += work.At(i, k) * work.At(i, j)
-			}
-			s *= betas[k]
-			work.Set(k, j, work.At(k, j)-s)
-			for i := k + 1; i < m; i++ {
-				work.Set(i, j, work.At(i, j)-s*work.At(i, k))
-			}
-		}
-	}
-	// Extract R.
-	r = NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, work.At(i, j))
-		}
-	}
-	// Accumulate Q by applying reflectors to the first n columns of I.
-	q = NewMatrix(m, n)
-	for j := 0; j < n; j++ {
-		q.Set(j, j, 1)
-	}
-	for k := n - 1; k >= 0; k-- {
-		if betas[k] == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			s := q.At(k, j)
-			for i := k + 1; i < m; i++ {
-				s += work.At(i, k) * q.At(i, j)
-			}
-			s *= betas[k]
-			q.Set(k, j, q.At(k, j)-s)
-			for i := k + 1; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-s*work.At(i, k))
-			}
-		}
-	}
-	return q, r, nil
-}
-
-// SolveUpperTriangular solves R * X = b for upper-triangular R by backward
-// substitution. Zero diagonal entries yield zero solution rows (minimum-norm
-// convention for rank-deficient systems).
-func SolveUpperTriangular(r, b *Matrix) (*Matrix, error) {
-	n := r.Rows
-	if r.Cols != n || b.Rows != n {
-		return nil, fmt.Errorf("%w: triangular solve %dx%d rhs %dx%d", ErrShape, r.Rows, r.Cols, b.Rows, b.Cols)
-	}
-	x := b.Clone()
-	for i := n - 1; i >= 0; i-- {
-		xi := x.Row(i)
-		for k := i + 1; k < n; k++ {
-			rik := r.At(i, k)
-			if rik == 0 {
-				continue
-			}
-			xk := x.Row(k)
-			for j := range xi {
-				xi[j] -= rik * xk[j]
-			}
-		}
-		d := r.At(i, i)
-		if math.Abs(d) < 1e-300 {
-			for j := range xi {
-				xi[j] = 0
-			}
-			continue
-		}
-		inv := 1 / d
-		for j := range xi {
-			xi[j] *= inv
-		}
-	}
-	return x, nil
-}
-
-// LeastSquares solves min ||a*X - b||_F via QR, returning the coefficient
-// matrix X (a.Cols x b.Cols). For rank-deficient a the zero-diagonal
-// convention of SolveUpperTriangular applies.
-func LeastSquares(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows {
-		return nil, fmt.Errorf("%w: lstsq %dx%d rhs %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if a.Rows >= a.Cols {
-		q, r, err := QR(a)
-		if err != nil {
-			return nil, err
-		}
-		qtb, err := q.MulT(b)
-		if err != nil {
-			return nil, err
-		}
-		return SolveUpperTriangular(r, qtb)
-	}
-	// Underdetermined: fall back to the (jittered) normal equations of the
-	// minimum-norm solution X = A^T (A A^T)^-1 b.
-	outer := a.GramOuter()
-	w, err := SolveSPD(outer, b)
-	if err != nil {
-		return nil, err
-	}
-	return a.MulT(w)
 }

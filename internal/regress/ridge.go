@@ -8,6 +8,7 @@ package regress
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -16,6 +17,23 @@ import (
 
 // ErrNoData is returned when a fit is requested on an empty design matrix.
 var ErrNoData = errors.New("regress: empty design matrix")
+
+// ErrNonFinite is returned when a target column holds a NaN or ±Inf. A
+// non-finite cell of x already fails the Cholesky pivot (linalg.ErrSingular),
+// but the target never reaches a pivot and would yield a NaN model.
+var ErrNonFinite = errors.New("regress: non-finite target")
+
+// checkTargetMeans rejects a target whose column means are not finite, which
+// is the case exactly when a column holds a NaN or ±Inf (or its sum
+// overflows).
+func checkTargetMeans(means []float64) error {
+	for j, m := range means {
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			return fmt.Errorf("%w: column %d has mean %g", ErrNonFinite, j, m)
+		}
+	}
+	return nil
+}
 
 // Model is a fitted linear model. Predictions are computed as
 // (x - xMeans)/xStds * Coef + yMeans, i.e. the model standardises inputs
@@ -92,25 +110,11 @@ func (m *Model) Residuals(x, y *linalg.Matrix) (*linalg.Matrix, error) {
 }
 
 // FitOLS fits ordinary least squares on standardised features and centred
-// targets. It is Ridge with λ = 0 but goes through QR for numerical
-// stability, matching the classical estimator analysed in Appendix A.
+// targets: the λ = 0 case of FitRidge, with its 1e-10 diagonal jitter and
+// jittered-Cholesky retries. On a rank-deficient design the coefficients are
+// not unique; the predictions are.
 func FitOLS(x, y *linalg.Matrix) (*Model, error) {
-	if x.Rows == 0 || x.Cols == 0 {
-		return nil, ErrNoData
-	}
-	if x.Rows != y.Rows {
-		return nil, fmt.Errorf("regress: x has %d rows, y has %d", x.Rows, y.Rows)
-	}
-	xs := x.Clone()
-	xMeans, xStds := xs.StandardizeColumns()
-	ys := y.Clone()
-	yMeans := ys.ColMeans()
-	ys.CenterColumns(yMeans)
-	coef, err := linalg.LeastSquares(xs, ys)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{Coef: coef, XMeans: xMeans, XStds: xStds, YMeans: yMeans, TrainRowsCount: x.Rows}, nil
+	return FitRidge(x, y, 0)
 }
 
 // FitRidge fits ridge regression with penalty lambda, choosing the primal
@@ -131,6 +135,9 @@ func FitRidge(x, y *linalg.Matrix, lambda float64) (*Model, error) {
 	xMeans, xStds := xs.StandardizeColumns()
 	ys := y.Clone()
 	yMeans := ys.ColMeans()
+	if err := checkTargetMeans(yMeans); err != nil {
+		return nil, err
+	}
 	ys.CenterColumns(yMeans)
 
 	var coef *linalg.Matrix
@@ -409,6 +416,9 @@ func (d *RidgeDesign) Prepare(y *linalg.Matrix) (*RidgeTarget, error) {
 	}
 	ys := y.Clone()
 	yMeans := ys.ColMeans()
+	if err := checkTargetMeans(yMeans); err != nil {
+		return nil, err
+	}
 	ys.CenterColumns(yMeans)
 	t := &RidgeTarget{design: d, ys: ys, yMeans: yMeans}
 	if d.primal {
@@ -454,6 +464,9 @@ func (d *RidgeDesign) ResidualizeInto(y *linalg.Matrix, lambda float64, s *Scrat
 		return nil, err
 	}
 	s.yMeans = y.ColMeansInto(growZeroed(s.yMeans, y.Cols))
+	if err := checkTargetMeans(s.yMeans); err != nil {
+		return nil, err
+	}
 	ys := s.centred.Resize(y.Rows, y.Cols)
 	copy(ys.Data, y.Data)
 	ys.CenterColumns(s.yMeans)

@@ -46,6 +46,161 @@ func TestFitOLSErrors(t *testing.T) {
 	}
 }
 
+// The tests below pin the least-squares behaviours of FitOLS, the λ = 0
+// ridge solve.
+
+func TestFitOLSExact(t *testing.T) {
+	// A consistent overdetermined system is reproduced in-sample.
+	rng := rand.New(rand.NewSource(13))
+	x, y := linearData(rng, 30, 4, 2, 0)
+	model, err := FitOLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := model.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pred.Equal(y, 1e-7) {
+		t.Fatal("OLS did not reproduce a consistent system")
+	}
+}
+
+func TestFitOLSResidualOrthogonality(t *testing.T) {
+	// The residual is orthogonal to every standardized column.
+	rng := rand.New(rand.NewSource(14))
+	x := linalg.GaussianMatrix(rng, 40, 5)
+	y := linalg.GaussianMatrix(rng, 40, 1)
+	model, err := FitOLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resid, err := model.Residuals(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := x.Clone()
+	xs.StandardizeColumns()
+	xtr, err := xs.MulT(resid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xtr.MaxAbs() > 1e-7 {
+		t.Fatalf("residual not orthogonal to columns: %g", xtr.MaxAbs())
+	}
+}
+
+func TestFitOLSUnderdetermined(t *testing.T) {
+	// p > n (the dual path): a consistent system is interpolated.
+	rng := rand.New(rand.NewSource(15))
+	x, y := linearData(rng, 5, 12, 1, 0)
+	model, err := FitOLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := model.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pred.Equal(y, 1e-6) {
+		t.Fatal("underdetermined OLS does not interpolate the system")
+	}
+}
+
+// On a rank-deficient design the OLS coefficients are not unique, so only
+// the predictions — the projection of y onto the column space — are pinned.
+func TestFitOLSRankDeficient(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+
+	// n = p: with the intercept the n standardized columns span every
+	// centred target, so y is interpolated.
+	x, y := linearData(rng, 30, 30, 1, 1)
+	model, err := FitOLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := model.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pred.Equal(y, 1e-6) {
+		t.Fatal("n = p OLS does not interpolate y")
+	}
+
+	// A duplicated column leaves the column space, and so the fit, as it was.
+	x = linalg.GaussianMatrix(rng, 40, 4)
+	y = linalg.GaussianMatrix(rng, 40, 1)
+	dup := linalg.NewMatrix(40, 5)
+	for i := 0; i < 40; i++ {
+		copy(dup.Row(i), x.Row(i))
+		dup.Set(i, 4, x.At(i, 1))
+	}
+	full, err := FitOLS(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deficient, err := FitOLS(dup, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Predict(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := deficient.Predict(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want, 1e-7) {
+		t.Fatal("a duplicated column changed the OLS predictions")
+	}
+}
+
+// A NaN or ±Inf cell is a typed error from every fit, never a NaN model: in
+// x it surfaces as a NaN Cholesky pivot, in y as a non-finite target mean.
+func TestFitNonFiniteIsTypedError(t *testing.T) {
+	fits := []struct {
+		name string
+		fit  func(x, y *linalg.Matrix) error
+	}{
+		{"FitOLS", func(x, y *linalg.Matrix) error { _, err := FitOLS(x, y); return err }},
+		{"FitRidge", func(x, y *linalg.Matrix) error { _, err := FitRidge(x, y, 1); return err }},
+		{"RidgeDesign.Fit", func(x, y *linalg.Matrix) error {
+			d, err := NewRidgeDesign(x)
+			if err == nil {
+				_, err = d.Fit(y, 1)
+			}
+			return err
+		}},
+		{"RidgeDesign.Residualize", func(x, y *linalg.Matrix) error {
+			d, err := NewRidgeDesign(x)
+			if err == nil {
+				_, err = d.Residualize(y, 1)
+			}
+			return err
+		}},
+	}
+	for _, shape := range []struct{ n, p int }{{20, 2}, {5, 12}} { // primal, dual
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, inY := range []bool{false, true} {
+				for _, f := range fits {
+					x, y := linearData(rand.New(rand.NewSource(17)), shape.n, shape.p, 1, 0.1)
+					want := linalg.ErrSingular
+					if inY {
+						y.Set(3, 0, v)
+						want = ErrNonFinite
+					} else {
+						x.Set(3, 1, v)
+					}
+					if err := f.fit(x, y); !errors.Is(err, want) {
+						t.Errorf("%s %dx%d, %g in y=%v: want %v, got %v", f.name, shape.n, shape.p, v, inY, want, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFitRidgeShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x, y := linearData(rng, 100, 10, 1, 0.5)
