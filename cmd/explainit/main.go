@@ -1,6 +1,7 @@
 // Command explainit is the operator-facing CLI: load telemetry from CSV or
-// JSON-lines, group it into feature families, optionally run ad-hoc SQL,
-// and rank candidate causes for a target family.
+// JSON-lines into an in-memory store, group it into feature families, and
+// rank candidate causes for a target family with the in-process engine.
+// For a long-running, durable store served over HTTP, run explainitd.
 //
 // A typical session (mirroring the paper's three-step workflow):
 //
@@ -8,12 +9,16 @@
 //	explainit -load incident.csv -families          # step 1-2: see the search space
 //	explainit -load incident.csv -target runtime_pipeline_0
 //	explainit -load incident.csv -target runtime_pipeline_0 -condition input_size
-//	explainit -load incident.csv -sql "SELECT metric_name, COUNT(*) FROM tsdb GROUP BY metric_name"
+//	explainit -load incident.csv -target runtime_pipeline_0 -scorer corrmax
 //
 // -sql is the one-shot declarative query mode; for statements that reach
-// the ranking engine, families are built first so EXPLAIN ranks directly —
+// the ranking engine, families are built first so EXPLAIN ranks directly:
 //
+//	explainit -load incident.csv -sql "SELECT metric_name, COUNT(*) FROM tsdb GROUP BY metric_name"
 //	explainit -load incident.csv -sql "EXPLAIN runtime_pipeline_0 GIVEN input_size LIMIT 10"
+//
+// -repl starts the interactive search loop (Algorithm 1) over the loaded
+// data instead.
 package main
 
 import (
@@ -42,7 +47,6 @@ func main() {
 	families := flag.Bool("families", false, "list feature families and exit")
 	sql := flag.String("sql", "", "run a SQL query against the tsdb table and exit")
 	seed := flag.Int64("seed", 1, "seed for projection scorers")
-	workers := flag.String("workers", "", "comma-separated explainitd worker addresses for distributed scoring")
 	replMode := flag.Bool("repl", false, "start the interactive search loop (Algorithm 1)")
 	flag.Parse()
 
@@ -115,16 +119,7 @@ func main() {
 	if *condition != "" {
 		opts.Condition = strings.Split(*condition, ",")
 	}
-	var ranking *explainit.Ranking
-	if *workers != "" {
-		if err := c.ConnectWorkers(strings.Split(*workers, ",")...); err != nil {
-			fatal(err)
-		}
-		defer c.CloseWorkers()
-		ranking, err = c.ExplainRemote(opts)
-	} else {
-		ranking, err = c.Explain(opts)
-	}
+	ranking, err := c.Explain(opts)
 	if err != nil {
 		fatal(err)
 	}

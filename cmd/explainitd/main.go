@@ -1,23 +1,22 @@
-// Command explainitd is the analysis daemon. It serves hypothesis-scoring
-// RPCs so a coordinator can fan hypotheses out across machines — the role
-// the paper's per-executor Python scikit kernels play (§4) — and, with
-// -http, the versioned /api/v1 investigation API: iterative Explain
-// sessions over HTTP, with asynchronous step jobs and SSE streams of
-// partial rankings.
+// Command explainitd is the analysis daemon. It serves the versioned
+// /api/v1 HTTP API over one time series store: batched ingest
+// (POST /api/v1/put), family builds, EXPLAIN rankings, SQL queries,
+// iterative investigation sessions with asynchronous step jobs and SSE
+// streams of partial rankings, standing watches, /api/v1/stats and a
+// Prometheus /metrics endpoint.
 //
-// Start one per core or per machine:
+//	explainitd -http 127.0.0.1:9101
 //
-//	explainitd -listen :9101
+// Without -data-dir the store lives in memory. With -data-dir it is
+// durable (hash-sharded, one WAL + block dir per shard; -shards picks the
+// count at creation) and crash-recovered on start:
 //
-// and point a coordinator's cluster.Dial at the addresses.
+//	explainitd -http :9101 -data-dir /var/lib/explainit -shards 4
 //
-// With -data-dir the daemon also opens a durable local time series store
-// (hash-sharded, one WAL + block dir per shard; -shards picks the count at
-// creation). The store is crash-recovered on start; SIGINT/SIGTERM trigger
-// a graceful shutdown that stops accepting RPCs, cancels running step
-// jobs, and flushes the WALs into chunks:
-//
-//	explainitd -listen :9101 -http :9102 -data-dir /var/lib/explainit/worker-0 -shards 4
+// SIGINT/SIGTERM trigger a graceful shutdown: the HTTP server drains,
+// running step jobs are cancelled, self-scrape stops and the WALs are
+// flushed into chunks; the exit status is 0. If the HTTP address cannot be
+// bound, or the server fails, the store is closed and the exit status is 1.
 //
 // The daemon can observe itself: -self-scrape=10s snapshots the in-process
 // metrics registry every interval and writes the explainit_* series into
@@ -29,7 +28,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -42,14 +40,16 @@ import (
 	"explainit"
 	"explainit/internal/apihttp"
 	"explainit/internal/buildinfo"
-	"explainit/internal/cluster"
 	"explainit/internal/obs"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:9101", "address to serve scoring RPCs on")
-	httpAddr := flag.String("http", "", "address to serve the /api/v1 investigation HTTP API on (empty = disabled)")
-	dataDir := flag.String("data-dir", "", "durable local store directory (per-shard WAL + compressed chunks)")
+func main() { os.Exit(run()) }
+
+// run serves until a signal or a server failure and returns the exit
+// status: 0 after a graceful shutdown, 1 on any error.
+func run() (status int) {
+	httpAddr := flag.String("http", "127.0.0.1:9101", "address to serve the /api/v1 HTTP API on")
+	dataDir := flag.String("data-dir", "", "durable local store directory (per-shard WAL + compressed chunks; empty = in-memory store)")
 	shards := flag.Int("shards", 0, "shard count for the store (0 = default; an existing -data-dir keeps its creation-time count)")
 	selfScrape := flag.Duration("self-scrape", 0, "interval to scrape the daemon's own metrics into the serving store as explainit_* series (0 = disabled)")
 	slowLogPath := flag.String("slow-query-log", "", "file to append one JSON line per slow request to (empty = disabled)")
@@ -59,101 +59,75 @@ func main() {
 
 	if *showVersion {
 		fmt.Printf("explainitd %s (commit %s)\n", buildinfo.Version, buildinfo.Commit)
-		return
+		return 0
+	}
+
+	// Bind before opening the store, so a taken address fails fast without
+	// recovering (or touching) a data dir.
+	l, err := net.Listen("tcp", *httpAddr)
+	if err != nil {
+		return fail(err)
 	}
 
 	var client *explainit.Client
-	if *dataDir != "" {
-		var err error
-		client, err = explainit.OpenShards(*dataDir, *shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "explainitd: opening data dir:", err)
-			os.Exit(1)
+	if *dataDir == "" {
+		client = explainit.New()
+	} else {
+		if client, err = explainit.OpenShards(*dataDir, *shards); err != nil {
+			return fail(fmt.Errorf("opening data dir: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "explainitd: recovered %d series from %s\n", client.NumSeries(), *dataDir)
-	} else if *httpAddr != "" {
-		client = explainit.New()
 	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "explainitd:", err)
-		os.Exit(1)
-	}
-
-	var api *apihttp.Server
-	var httpSrv *http.Server
-	httpErr := make(chan error, 1)
-	if *httpAddr != "" {
-		api = apihttp.NewServer(client)
-		if *slowLogPath != "" {
-			f, err := os.OpenFile(*slowLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "explainitd: opening slow-query log:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			api.SetSlowLog(obs.NewSlowLog(f, *slowThreshold))
-			fmt.Fprintf(os.Stderr, "explainitd: logging requests slower than %v to %s\n", *slowThreshold, *slowLogPath)
+	defer func() {
+		if err := client.Close(); err != nil {
+			status = fail(fmt.Errorf("closing store: %w", err))
 		}
-		httpSrv = &http.Server{Addr: *httpAddr, Handler: api}
-		go func() {
-			fmt.Fprintf(os.Stderr, "explainitd: serving /api/v1 on http://%s\n", *httpAddr)
-			httpErr <- httpSrv.ListenAndServe()
-		}()
+	}()
+
+	api := apihttp.NewServer(client)
+	if *slowLogPath != "" {
+		f, err := os.OpenFile(*slowLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fail(fmt.Errorf("opening slow-query log: %w", err))
+		}
+		defer f.Close()
+		api.SetSlowLog(obs.NewSlowLog(f, *slowThreshold))
+		fmt.Fprintf(os.Stderr, "explainitd: logging requests slower than %v to %s\n", *slowThreshold, *slowLogPath)
 	}
 
-	stopScrape := func() {}
 	if *selfScrape > 0 {
-		if client == nil {
-			fmt.Fprintln(os.Stderr, "explainitd: -self-scrape requires a store (-data-dir or -http)")
-			os.Exit(1)
-		}
-		stopScrape = client.StartSelfScrape(*selfScrape)
+		// Deferred after the store's Close, so it stops first: the last
+		// partial interval is dropped, not half-written.
+		defer client.StartSelfScrape(*selfScrape)()
 		fmt.Fprintf(os.Stderr, "explainitd: self-scraping metrics into the store every %v\n", *selfScrape)
 	}
 
-	shuttingDown := make(chan struct{})
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		select {
-		case sig := <-sigCh:
-			fmt.Fprintf(os.Stderr, "explainitd: %v: shutting down\n", sig)
-		case err := <-httpErr:
-			if err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "explainitd: http:", err)
-			}
-		}
-		close(shuttingDown)
-		if httpSrv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			httpSrv.Shutdown(ctx)
-			cancel()
-		}
-		if api != nil {
-			api.Close() // cancel running step jobs; workers unwind
-		}
-		l.Close() // unblocks cluster.Serve
-	}()
+	srv := &http.Server{Handler: api}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(l) }()
+	fmt.Fprintf(os.Stderr, "explainitd: serving /api/v1 on http://%s\n", l.Addr())
 
-	fmt.Fprintf(os.Stderr, "explainitd: serving hypothesis scoring on %s\n", l.Addr())
-	serveErr := cluster.Serve(l)
-
-	stopScrape() // last partial interval is dropped, not half-written
-	if client != nil {
-		if err := client.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "explainitd: closing store:", err)
-			os.Exit(1)
-		}
-	}
 	select {
-	case <-shuttingDown:
-		// Listener error was caused by our own shutdown; exit cleanly.
-	default:
-		if serveErr != nil {
-			fmt.Fprintln(os.Stderr, "explainitd:", serveErr)
-			os.Exit(1)
+	case sig := <-sigCh:
+		fmt.Fprintf(os.Stderr, "explainitd: %v: shutting down\n", sig)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			// Not drained in time; api.Close below still cancels running jobs.
+			fmt.Fprintln(os.Stderr, "explainitd: http shutdown:", err)
 		}
+		cancel()
+	case err := <-serveErr:
+		// Serve returns before Shutdown only when the listener fails.
+		status = fail(fmt.Errorf("http: %w", err))
 	}
+	api.Close() // cancel running step jobs; their scoring workers unwind
+	return status
+}
+
+// fail reports err and returns the failure exit status.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "explainitd:", err)
+	return 1
 }

@@ -33,11 +33,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"explainit/internal/cluster"
 	"explainit/internal/connector"
 	"explainit/internal/core"
-	"explainit/internal/obs"
 	"explainit/internal/monitor"
+	"explainit/internal/obs"
 	"explainit/internal/rescache"
 	"explainit/internal/sqlexec"
 	"explainit/internal/sqlparse"
@@ -59,14 +58,13 @@ type Client struct {
 	famOrder []string
 	// famGen counts registry mutations; it keys cached rankings to the
 	// registry build they were computed against (see cache.go).
-	famGen  uint64
-	rcache  atomic.Pointer[rescache.Cache]
+	famGen uint64
+	rcache atomic.Pointer[rescache.Cache]
 	// SQL-layer caches (sqlcache.go): compiled physical plans keyed by
 	// statement text, and pushed-down scan relations validated against the
 	// store's ingest watermarks.
 	sqlPlans atomic.Pointer[rescache.Cache]
 	sqlScans atomic.Pointer[rescache.Cache]
-	workers  *cluster.Pool // non-nil after ConnectWorkers
 
 	// Standing-query subsystem (watch.go). The manager is built lazily on
 	// the first watch; watchMu guards the lazy init, the pinned options,

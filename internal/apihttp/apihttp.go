@@ -191,7 +191,7 @@ func decodeJSON(r *http.Request, v interface{}) error {
 
 // --- ingest + families ---
 
-// PutRecord is the JSON wire form of one observation (matches tsdbhttp).
+// PutRecord is the JSON wire form of one observation.
 type PutRecord struct {
 	Metric    string            `json:"metric"`
 	Timestamp int64             `json:"timestamp"` // unix seconds

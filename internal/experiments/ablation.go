@@ -1,15 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
-	"fmt"
+	"encoding/gob"
 	"math"
 	"math/rand"
-	"net"
-	"net/rpc"
 	"time"
 
-	"explainit/internal/cluster"
 	"explainit/internal/core"
 	"explainit/internal/linalg"
 	"explainit/internal/regress"
@@ -47,44 +45,63 @@ func Ablations() (*Report, error) {
 // ablateSerialization reproduces §6.2's measurement that serialisation is a
 // larger share of per-family scoring time for cheap univariate scorers
 // ("about 25%") than for the expensive joint scorers ("only about 5%"):
-// we ship the same hypotheses to an in-process RPC worker and compare the
-// round-trip-minus-compute share.
+// each hypothesis payload (X, Y) takes a gob encode+decode round trip, the
+// wire cost of shipping it to a scoring kernel, and the decoded matrices
+// are scored. The share is serialisation time over serialisation plus
+// compute time, summed over the candidates.
 func ablateSerialization(rep *Report) error {
 	rng := rand.New(rand.NewSource(45))
 	n, p := 1440, 60
-	target := &core.Family{
-		Name:    "y",
-		Columns: []string{"y.0"},
-		Matrix:  linalg.GaussianMatrix(rng, n, 1),
+	y := linalg.GaussianMatrix(rng, n, 1)
+	xs := make([]*linalg.Matrix, 12)
+	for i := range xs {
+		xs[i] = linalg.GaussianMatrix(rng, n, p)
 	}
-	candidates := make([]*core.Family, 12)
-	for i := range candidates {
-		candidates[i] = &core.Family{
-			Name:    fmt.Sprintf("fam%02d", i),
-			Columns: make([]string, p),
-			Matrix:  linalg.GaussianMatrix(rng, n, p),
-		}
-	}
-	server, client := net.Pipe()
-	go func() { _ = cluster.ServeConn(server) }()
-	pool := cluster.NewPool(rpc.NewClient(client))
-	defer pool.Close()
-
-	uni, err := pool.Rank(target, candidates, nil, cluster.ScorerSpec{Kind: "corrmax"}, 1)
+	uni, err := serializationShare(&core.CorrScorer{UseMax: true}, xs, y)
 	if err != nil {
 		return err
 	}
-	joint, err := pool.Rank(target, candidates, nil, cluster.ScorerSpec{Kind: "l2", Seed: 1}, 1)
+	joint, err := serializationShare(&core.L2Scorer{Seed: 1}, xs, y)
 	if err != nil {
 		return err
 	}
-	uniShare := cluster.SerializationShare(uni)
-	jointShare := cluster.SerializationShare(joint)
-	rep.Metrics["serialization_univariate"] = uniShare
-	rep.Metrics["serialization_joint"] = jointShare
-	rep.Printf("RPC serialisation share of score time: %.0f%% univariate vs %.0f%% joint (paper §6.2: ~25%% vs ~5%%)",
-		100*uniShare, 100*jointShare)
+	rep.Metrics["serialization_univariate"] = uni
+	rep.Metrics["serialization_joint"] = joint
+	rep.Printf("gob serialisation share of score time: %.0f%% univariate vs %.0f%% joint (paper §6.2: ~25%% vs ~5%%)",
+		100*uni, 100*joint)
 	return nil
+}
+
+// hypothesis is the wire payload of one scoring request.
+type hypothesis struct {
+	X, Y *linalg.Matrix
+}
+
+// serializationShare scores each x against y after a gob round trip of the
+// pair and returns the serialisation share of the total time.
+func serializationShare(scorer core.Scorer, xs []*linalg.Matrix, y *linalg.Matrix) (float64, error) {
+	// One encoder/decoder pair over one stream, as on a kept-open
+	// connection: gob sends the type description once, not per hypothesis.
+	var buf bytes.Buffer
+	enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
+	var ser, compute time.Duration
+	for _, x := range xs {
+		start := time.Now()
+		if err := enc.Encode(hypothesis{X: x, Y: y}); err != nil {
+			return 0, err
+		}
+		var h hypothesis
+		if err := dec.Decode(&h); err != nil {
+			return 0, err
+		}
+		ser += time.Since(start)
+		start = time.Now()
+		if _, err := scorer.Score(h.X, h.Y, nil, nil); err != nil {
+			return 0, err
+		}
+		compute += time.Since(start)
+	}
+	return ser.Seconds() / (ser + compute).Seconds(), nil
 }
 
 // ablateDenseArrays compares correlation over a dense row-major matrix with

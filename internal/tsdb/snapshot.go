@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"encoding/gob"
-	"fmt"
 	"io"
 	"sort"
 
@@ -75,29 +74,4 @@ func (db *DB) Save(w io.Writer) error {
 		snap.Series = append(snap.Series, e.ss)
 	}
 	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// Load merges a snapshot produced by Save into the store and returns the
-// number of samples restored. Each series loads through the batch path
-// (one WAL group commit per series on a durable store).
-func (db *DB) Load(r io.Reader) (int, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("tsdb: decoding snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return 0, fmt.Errorf("tsdb: unsupported snapshot version %d", snap.Version)
-	}
-	n := 0
-	for _, ss := range snap.Series {
-		tags := make(ts.Tags, len(ss.Tags))
-		for _, t := range ss.Tags {
-			tags[t.K] = t.V
-		}
-		if err := db.PutSeries(&ts.Series{Name: ss.Name, Tags: tags, Samples: ss.Samples}); err != nil {
-			return n, err
-		}
-		n += len(ss.Samples)
-	}
-	return n, nil
 }
