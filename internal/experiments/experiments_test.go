@@ -19,10 +19,7 @@ func TestAllRunnersRegistered(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	rep, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Table2)
 	// Univariate scoring must be the cheapest method at the largest size.
 	if rep.Metrics["corrmean_ms"] >= rep.Metrics["l2_ms"] {
 		t.Fatalf("CorrMean %.2fms should undercut L2 %.2fms",
@@ -37,10 +34,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3FaultInjectionShape(t *testing.T) {
-	rep, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Table3)
 	// The paper found the cause (TCP retransmits) at rank 4 with expected
 	// effect families (runtimes/latencies of other pipelines) around it at
 	// ranks 1-3, 5, 7. The shape to hold: the cause lands in the top
@@ -54,10 +48,7 @@ func TestTable3FaultInjectionShape(t *testing.T) {
 }
 
 func TestTable4NamenodeShape(t *testing.T) {
-	rep, err := Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Table4)
 	if r := rep.Metrics["cause_rank"]; r == 0 || r > 10 {
 		t.Fatalf("cause rank %v\n%s", r, rep)
 	}
@@ -70,10 +61,7 @@ func TestTable4NamenodeShape(t *testing.T) {
 }
 
 func TestTable5RAIDShape(t *testing.T) {
-	rep, err := Table5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Table5)
 	if r := rep.Metrics["cause_rank"]; r == 0 || r > 10 {
 		t.Fatalf("cause rank %v\n%s", r, rep)
 	}
@@ -83,10 +71,7 @@ func TestTable5RAIDShape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	rep, err := Figure5()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Figure5)
 	if rep.Metrics["fault_mean"] <= rep.Metrics["quiet_mean"] {
 		t.Fatalf("fault must raise runtime: %+v", rep.Metrics)
 	}
@@ -96,10 +81,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rep, err := Figure6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Figure6)
 	imp := rep.Metrics["improvement"]
 	if imp <= 0.02 || imp >= 0.5 {
 		t.Fatalf("fix improvement %v out of the paper's ballpark", imp)
@@ -107,10 +89,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	rep, err := Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Figure7)
 	pb, pa := rep.Metrics["period_before"], rep.Metrics["period_after"]
 	if pb < 13 || pb > 17 {
 		t.Fatalf("period before %v, want ~15", pb)
@@ -121,10 +100,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	rep, err := Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Figure8)
 	period, week := rep.Metrics["detected_period"], rep.Metrics["week"]
 	if period < week*0.85 || period > week*1.15 {
 		t.Fatalf("weekly period %v vs week %v", period, week)
@@ -132,10 +108,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	rep, err := Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Figure9)
 	if rep.Metrics["var_disabled"] >= rep.Metrics["var_default"] {
 		t.Fatalf("disabling the check must cut variance: %+v", rep.Metrics)
 	}
@@ -145,10 +118,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure12Shape(t *testing.T) {
-	rep, err := Figure12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Figure12)
 	// Plain r2 concentrates near the Beta mean (~0.5); adjusted near 0.
 	if rep.Metrics["raw_mean"] < 0.4 || rep.Metrics["raw_mean"] > 0.6 {
 		t.Fatalf("raw mean %v, want ~%v", rep.Metrics["raw_mean"], rep.Metrics["theory_mean"])
@@ -159,10 +129,7 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestFigure13Shape(t *testing.T) {
-	rep, err := Figure13()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Figure13)
 	if rep.Metrics["small_lambda_mean"] < 0.3 {
 		t.Fatalf("small-lambda ridge should overfit: %v", rep.Metrics["small_lambda_mean"])
 	}
@@ -175,10 +142,7 @@ func TestTable6AndFigure10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table6 sweep is expensive")
 	}
-	rep, err := Table6(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, func() (*Report, error) { return Table6(0.5) })
 	// The headline qualitative results of §6.1:
 	// (1) joint methods dominate univariate ones at top-20;
 	if rep.Metrics["success20/L2"] < rep.Metrics["success20/CorrMean"] {
@@ -199,10 +163,7 @@ func TestTable6AndFigure10Shapes(t *testing.T) {
 		t.Fatalf("CorrMean should not beat CorrMax on average:\n%s", rep)
 	}
 
-	fig, err := Figure10(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := report(t, func() (*Report, error) { return Figure10(0.3) })
 	// Univariate scoring is cheaper per family than the joint method.
 	if fig.Metrics["mean_us/CorrMean"] >= fig.Metrics["mean_us/L2"] {
 		t.Fatalf("CorrMean should be cheaper than L2:\n%s", fig)
@@ -210,10 +171,7 @@ func TestTable6AndFigure10Shapes(t *testing.T) {
 }
 
 func TestAblationsShape(t *testing.T) {
-	rep, err := Ablations()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, Ablations)
 	if rep.Metrics["dense_speedup"] < 1 {
 		t.Fatalf("dense arrays should win: %+v", rep.Metrics)
 	}
@@ -240,6 +198,20 @@ func TestAblationsShape(t *testing.T) {
 		t.Fatalf("serialisation share shape: univariate %v vs joint %v",
 			rep.Metrics["serialization_univariate"], rep.Metrics["serialization_joint"])
 	}
+}
+
+// report runs one experiment and fails the test on an error or an empty
+// report.
+func report(t *testing.T, run func() (*Report, error)) *Report {
+	t.Helper()
+	rep, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Lines) == 0 {
+		t.Fatalf("%s: empty report", rep.Name)
+	}
+	return rep
 }
 
 func abs(v float64) float64 {

@@ -9,15 +9,6 @@ import (
 	sp "explainit/internal/sqlparse"
 )
 
-// execEnv carries the execution context through the statement tree: the
-// catalog, the cancellation context, and the Explainer that embedded
-// EXPLAIN statements dispatch to (nil when the caller has no engine).
-type execEnv struct {
-	ctx context.Context
-	cat Catalog
-	ex  Explainer
-}
-
 // ExecuteStatement runs a parsed statement of any kind through the query
 // planner and the streaming iterator executor. A SELECT executes against
 // the catalog (with predicate/time pushdown when cat implements
@@ -35,44 +26,6 @@ func ExecuteStatement(ctx context.Context, stmt sp.Statement, cat Catalog, ex Ex
 	return ExecutePlan(pctx, plan, cat, ex)
 }
 
-// ExecuteStatementLegacy runs a statement through the pre-planner
-// materialize-everything executor. Kept as the differential-testing and
-// benchmark baseline for the planner path; new code should use
-// ExecuteStatement.
-func ExecuteStatementLegacy(ctx context.Context, stmt sp.Statement, cat Catalog, ex Explainer) (*Relation, error) {
-	env := &execEnv{ctx: ctx, cat: cat, ex: ex}
-	switch s := stmt.(type) {
-	case *sp.SelectStmt:
-		return executeSelect(s, env)
-	case *sp.ExplainStmt:
-		return env.explain(s)
-	}
-	return nil, fmt.Errorf("sqlexec: unsupported statement %T", stmt)
-}
-
-func executeSelect(stmt *sp.SelectStmt, env *execEnv) (*Relation, error) {
-	out, err := executeSingle(stmt, env)
-	if err != nil {
-		return nil, err
-	}
-	for u := stmt.Union; u != nil; u = u.Union {
-		branch, err := executeSingle(u, env)
-		if err != nil {
-			return nil, err
-		}
-		if branch.NumCols() != out.NumCols() {
-			return nil, fmt.Errorf("sqlexec: UNION arms have %d vs %d columns", out.NumCols(), branch.NumCols())
-		}
-		out.Rows = append(out.Rows, branch.Rows...)
-		if !stmt.UnionAll {
-			out = dedupRows(out)
-		}
-		// Only the first statement's ORDER BY/LIMIT apply to the union in
-		// this dialect; nested unions chain through u.Union.
-	}
-	return out, nil
-}
-
 // RunStatement parses and executes a SQL string of either statement kind,
 // dispatching EXPLAIN clauses to ex.
 func RunStatement(ctx context.Context, query string, cat Catalog, ex Explainer) (*Relation, error) {
@@ -81,66 +34,6 @@ func RunStatement(ctx context.Context, query string, cat Catalog, ex Explainer) 
 		return nil, err
 	}
 	return ExecuteStatement(ctx, stmt, cat, ex)
-}
-
-func executeSingle(stmt *sp.SelectStmt, env *execEnv) (*Relation, error) {
-	// FROM.
-	var input *Relation
-	if stmt.From != nil {
-		rel, err := executeFrom(stmt.From, env)
-		if err != nil {
-			return nil, err
-		}
-		input = rel
-	} else {
-		// FROM-less SELECT evaluates items once against an empty row.
-		input = &Relation{Rows: [][]Value{{}}}
-	}
-
-	// WHERE.
-	if stmt.Where != nil {
-		rows, err := filterRows(compileExpr(stmt.Where, input), input.Rows)
-		if err != nil {
-			return nil, err
-		}
-		input = &Relation{Cols: input.Cols, Quals: input.Quals, Rows: rows}
-	}
-
-	// GROUP BY / projection. src[i] is the input row that produced output
-	// row i (the group's first row under GROUP BY), so ORDER BY can fall
-	// back to input columns that were not projected.
-	var out *Relation
-	var src [][]Value
-	var err error
-	if isGrouped(stmt) {
-		g := compileGrouping(stmt, input, nil)
-		out = NewRelation(g.cols...)
-		out.Rows, src, err = g.run(input.Rows)
-	} else {
-		cols, items := compileProjection(stmt.Items, input)
-		out = NewRelation(cols...)
-		out.Rows, src, err = projectRows(items, len(cols), input.Rows)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	if stmt.Distinct {
-		out, src = dedupRowsWithSrc(out, src)
-	}
-
-	// ORDER BY: aliases and projected columns take precedence; otherwise a
-	// key is evaluated against the originating input row.
-	if len(stmt.OrderBy) > 0 {
-		keys := compileOrder(stmt.OrderBy, schemaOnly(out), input)
-		if err := orderRows(out.Rows, src, keys); err != nil {
-			return nil, err
-		}
-	}
-	if stmt.Limit >= 0 && len(out.Rows) > stmt.Limit {
-		out.Rows = out.Rows[:stmt.Limit]
-	}
-	return out, nil
 }
 
 // isGrouped reports whether a SELECT aggregates: a GROUP BY clause or an
@@ -355,41 +248,6 @@ func (g *grouping) run(rows [][]Value) (out, src [][]Value, err error) {
 		src = append(src, first)
 	}
 	return out, src, nil
-}
-
-func dedupRows(rel *Relation) *Relation {
-	seen := make(map[string]struct{}, len(rel.Rows))
-	out := &Relation{Cols: rel.Cols, Quals: rel.Quals}
-	var h rowHasher
-	for _, row := range rel.Rows {
-		key := h.rowKey(row)
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
-}
-
-// dedupRowsWithSrc removes duplicate output rows, keeping src aligned.
-func dedupRowsWithSrc(rel *Relation, src [][]Value) (*Relation, [][]Value) {
-	seen := make(map[string]struct{}, len(rel.Rows))
-	out := &Relation{Cols: rel.Cols, Quals: rel.Quals}
-	var outSrc [][]Value
-	var h rowHasher
-	for i, row := range rel.Rows {
-		key := h.rowKey(row)
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		out.Rows = append(out.Rows, row)
-		if src != nil {
-			outSrc = append(outSrc, src[i])
-		}
-	}
-	return out, outSrc
 }
 
 // orderKey is one compiled ORDER BY key. A key whose columns all project

@@ -137,19 +137,3 @@ func resolveDurLit(e sp.Expr) (time.Duration, error) {
 	}
 	return d, nil
 }
-
-// explain compiles and dispatches one EXPLAIN statement through the
-// environment's Explainer.
-func (env *execEnv) explain(stmt *sp.ExplainStmt) (*Relation, error) {
-	if env.ex == nil {
-		return nil, fmt.Errorf("sqlexec: EXPLAIN requires a ranking engine (no Explainer configured)")
-	}
-	plan, err := CompileExplain(stmt)
-	if err != nil {
-		return nil, err
-	}
-	if plan.Standing() {
-		return nil, planErrorf("standing query (EVERY) cannot run as a relational statement; use Watch or POST /api/v1/watch")
-	}
-	return env.ex.ExplainRelation(env.ctx, plan)
-}

@@ -282,8 +282,8 @@ func (it *hashJoinIter) Close() {
 	it.right.Close()
 }
 
-// nlJoinIter materializes both inputs and runs the legacy nested-loop join
-// (non-equi ON conditions).
+// nlJoinIter materializes both inputs and runs nestedLoopJoin (non-equi ON
+// conditions), the same join the oracle executor in legacy_test.go runs.
 type nlJoinIter struct {
 	n           *PlanNode
 	left, right iterator

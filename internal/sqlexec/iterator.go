@@ -12,12 +12,12 @@ import (
 
 // Volcano-style streaming executor. Each physical operator is an iterator
 // with Open/Next/Close; Next returns (row, src) where src is the
-// originating input row the legacy executor threaded alongside projections
-// (ORDER BY falls back to it for unprojected input columns), or (nil, nil)
-// at end of stream. Operators pull rows one at a time — only the
-// explicitly buffered ones (legacy window-function fallbacks, sort, join
-// builds) materialize anything, and top-k ORDER BY+LIMIT keeps a bounded
-// heap instead of the full input.
+// originating input row threaded alongside projections (ORDER BY falls
+// back to it for unprojected input columns, as the oracle executor in
+// legacy_test.go does), or (nil, nil) at end of stream. Operators pull rows
+// one at a time — only the explicitly buffered ones (window-function
+// fallbacks, sort, join builds) materialize anything, and top-k ORDER
+// BY+LIMIT keeps a bounded heap instead of the full input.
 //
 // Cancellation: leaf iterators poll the context through ctxpoll on every
 // Next stride, so a cancelled request stops mid-scan instead of finishing
@@ -507,9 +507,9 @@ func (d *distinctIter) Next() ([]Value, []Value, error) {
 func (d *distinctIter) Close() { d.child.Close() }
 
 // sortIter is the blocking ORDER BY: it materializes its input and sorts it
-// with the legacy executor's orderRows, preserving its exact key-resolution
-// and error semantics (including the nil-src quirk after an all-duplicate
-// DISTINCT).
+// with orderRows, the sort the oracle executor in legacy_test.go runs,
+// preserving its exact key-resolution and error semantics (including the
+// nil-src quirk after an all-duplicate DISTINCT).
 type sortIter struct {
 	n     *PlanNode
 	child iterator

@@ -37,6 +37,7 @@ func TestPlannerLegacyDifferential(t *testing.T) {
 		`SELECT h.hostname, p.service_name FROM processes p FULL OUTER JOIN hosts h ON h.hostname = p.hostname`,
 		`SELECT h.hostname, p.service_name FROM hosts h JOIN processes p ON h.hostname = p.hostname AND h.os_version = 'v1'`,
 		`SELECT a.hostname FROM hosts a JOIN hosts b ON a.hostname = b.hostname`,
+		`SELECT a.tag, a.value, b.value FROM tsdb a JOIN tsdb b ON a.timestamp = b.timestamp AND a.tag = b.tag WHERE a.metric_name = 'pipeline_runtime' AND b.metric_name = 'pipeline_input_rate'`,
 		`SELECT hostname FROM hosts UNION SELECT hostname FROM processes`,
 		`SELECT hostname FROM hosts UNION ALL SELECT hostname FROM hosts`,
 		`SELECT x.p, x.v FROM (SELECT tag['pipeline_name'] AS p, AVG(value) AS v FROM tsdb WHERE metric_name = 'pipeline_runtime' GROUP BY tag['pipeline_name']) x WHERE x.v > 11 ORDER BY x.v DESC`,
@@ -217,23 +218,43 @@ func TestExplainPlanStatement(t *testing.T) {
 	}
 }
 
-// TestDedupAllocations is the hash-dedup regression test: deduplicating
-// n rows must not allocate per-value key strings (the old implementation
-// built a []string plus a joined string per row).
+// TestDedupAllocations is the hash-dedup regression test for the shipped
+// DISTINCT and UNION operators: deduplicating n rows must not allocate
+// per-value key strings (the old implementation built a []string plus a
+// joined string per row). Each statement is measured against its twin
+// without the dedup, so the difference is the dedup alone.
 func TestDedupAllocations(t *testing.T) {
 	rel := NewRelation("a", "b")
 	for i := 0; i < 512; i++ {
 		_ = rel.AddRow(Number(float64(i%32)), Str("x"))
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		_ = dedupRows(rel)
-	})
-	// Budget: the seen map + output relation + one key copy per distinct
-	// row. 512 rows at 32 distinct keys stayed under ~80 allocations in
-	// the hasher implementation; the legacy per-row []string + Join burned
-	// over 1500.
-	if allocs > 200 {
-		t.Errorf("dedupRows allocates %.0f times per run; hash-based dedup regressed", allocs)
+	cat := NewMemCatalog()
+	cat.Register("t", rel)
+	allocs := func(q string) float64 {
+		stmt, err := sp.ParseStatement(q)
+		if err != nil {
+			t.Fatalf("parse %q: %v", q, err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := ExecuteStatement(context.Background(), stmt, cat, nil); err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+		})
+	}
+	// Budget: the seen map and its growth plus one key copy per distinct
+	// row, as measured for each operator when the budget was set. 512
+	// rows at 32 distinct keys; per-row key strings would cost over 1500.
+	for _, c := range []struct {
+		dedup, plain string
+		budget       float64
+	}{
+		{`SELECT DISTINCT a, b FROM t`, `SELECT a, b FROM t`, 44},
+		{`SELECT a, b FROM t UNION SELECT a, b FROM t`, `SELECT a, b FROM t UNION ALL SELECT a, b FROM t`, 37},
+	} {
+		extra := allocs(c.dedup) - allocs(c.plain)
+		if extra > c.budget {
+			t.Errorf("%q allocates %.0f times more than %q, budget %.0f; hash-based dedup regressed", c.dedup, extra, c.plain, c.budget)
+		}
 	}
 }
 

@@ -1,56 +1,8 @@
 package sqlexec
 
 import (
-	"fmt"
-
 	sp "explainit/internal/sqlparse"
 )
-
-// executeFrom materialises a FROM clause: a table scan, a subquery, an
-// embedded EXPLAIN ranking, or a join tree.
-func executeFrom(ref sp.TableRef, env *execEnv) (*Relation, error) {
-	switch t := ref.(type) {
-	case *sp.TableName:
-		rel, err := env.cat.Table(t.Name)
-		if err != nil {
-			return nil, err
-		}
-		qual := t.Name
-		if t.Alias != "" {
-			qual = t.Alias
-		}
-		return rel.WithQualifier(qual), nil
-	case *sp.Subquery:
-		rel, err := executeSelect(t.Stmt, env)
-		if err != nil {
-			return nil, err
-		}
-		if t.Alias != "" {
-			return rel.WithQualifier(t.Alias), nil
-		}
-		return rel, nil
-	case *sp.ExplainRef:
-		rel, err := env.explain(t.Stmt)
-		if err != nil {
-			return nil, err
-		}
-		if t.Alias != "" {
-			return rel.WithQualifier(t.Alias), nil
-		}
-		return rel, nil
-	case *sp.Join:
-		left, err := executeFrom(t.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		right, err := executeFrom(t.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		return executeJoin(t, left, right)
-	}
-	return nil, fmt.Errorf("sqlexec: unsupported FROM clause %T", ref)
-}
 
 // equiKey is one equality conjunct a.x = b.y usable by the hash join.
 type equiKey struct {
@@ -171,71 +123,9 @@ func compileJoin(j *sp.Join, left, right *Relation) (*joinOp, []equiKey) {
 	return op, keys
 }
 
-// executeJoin dispatches to hash join when the ON clause is a pure
-// equi-join, otherwise to a nested loop. The hash join builds on the
-// right side — the "broadcast join" optimisation of §4.2 (the target and
-// conditioning tables are tiny next to the feature-family table).
-func executeJoin(j *sp.Join, left, right *Relation) (*Relation, error) {
-	op, _ := compileJoin(j, left, right)
-	out := joinedRelation(left, right)
-	var err error
-	if op.lkeys != nil {
-		out.Rows, err = hashJoin(op, left.Rows, right.Rows)
-	} else {
-		out.Rows, err = nestedLoopJoin(op, left.Rows, right.Rows)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func hashJoin(op *joinOp, lrows, rrows [][]Value) ([][]Value, error) {
-	jt := op.join.Type
-	var h rowHasher
-	env := &evalEnv{}
-	table := make(map[string][]int)
-	for i, row := range rrows {
-		key, ok, err := joinKey(&h, op.rkeys, env, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			table[key] = append(table[key], i)
-		}
-	}
-	var out [][]Value
-	rightMatched := make([]bool, len(rrows))
-	for _, lrow := range lrows {
-		key, ok, err := joinKey(&h, op.lkeys, env, lrow)
-		if err != nil {
-			return nil, err
-		}
-		var matches []int
-		if ok {
-			matches = table[key]
-		}
-		if len(matches) == 0 {
-			if jt == sp.JoinLeft || jt == sp.JoinFullOuter {
-				out = append(out, combineRows(lrow, nullRow(op.right.NumCols())))
-			}
-			continue
-		}
-		for _, ri := range matches {
-			rightMatched[ri] = true
-			out = append(out, combineRows(lrow, rrows[ri]))
-		}
-	}
-	if jt == sp.JoinFullOuter {
-		for ri, matched := range rightMatched {
-			if !matched {
-				out = append(out, combineRows(nullRow(op.left.NumCols()), rrows[ri]))
-			}
-		}
-	}
-	return out, nil
-}
-
+// nestedLoopJoin evaluates the compiled ON condition over every pair of
+// materialized rows (non-equi joins), NULL-padding the unmatched rows of a
+// LEFT or FULL OUTER join.
 func nestedLoopJoin(op *joinOp, lrows, rrows [][]Value) ([][]Value, error) {
 	jt := op.join.Type
 	var out [][]Value

@@ -35,8 +35,9 @@ const (
 
 // Operator modes: a streaming operator holds O(1)–O(groups) state and pulls
 // one row at a time; a buffered operator materializes its input and runs
-// the legacy relational code (required whenever window functions need the
-// whole input and its pre-filter row indexes).
+// the relational helpers (filterRows, projectRows, grouping.run) the oracle
+// executor in legacy_test.go runs (required whenever window functions need
+// the whole input and its pre-filter row indexes).
 const (
 	modeStreaming = "streaming"
 	modeBuffered  = "buffered"

@@ -14,16 +14,16 @@ import (
 // estimates, and marks common subexpressions (identical scans and embedded
 // EXPLAINs) so the executor materializes each once per statement.
 //
-// Semantics contract: executing a plan must match the legacy relational
-// executor result-for-result — bitwise, including column naming, row
-// order, NULL propagation, and the legacy path's quirks (see the
-// individual operator notes). Whenever an expression could observe the
-// difference between streaming and materialized evaluation (window
-// functions, which read the whole input relation and pre-filter row
-// indexes), the affected operator degrades to buffered mode and runs the
-// legacy executor's code on a materialized input. Every expression is
-// compiled here, once per plan (compile.go); execution only calls the
-// compiled closures.
+// Semantics contract: executing a plan must match the materialize-
+// everything oracle executor in legacy_test.go result-for-result —
+// bitwise, including column naming, row order, NULL propagation, and the
+// oracle's quirks (see the individual operator notes).
+// Whenever an expression could observe the difference between streaming
+// and materialized evaluation (window functions, which read the whole
+// input relation and pre-filter row indexes), the affected operator
+// degrades to buffered mode and runs the oracle's relational helpers on a
+// materialized input. Every expression is compiled here, once per plan
+// (compile.go); execution only calls the compiled closures.
 
 // PlanStatement compiles a statement against a catalog. The catalog is
 // consulted for table schemas (via SchemaCatalog/PushdownCatalog when

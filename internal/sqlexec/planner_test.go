@@ -169,7 +169,9 @@ func TestPlanWindowDisablesPushdown(t *testing.T) {
 // TestPushdownSupersetExecution verifies the pushdown contract end to end:
 // a pushed scan plus residual filter returns exactly what the legacy
 // full-materialize path returns, including when the pushed pattern over-
-// selects (the residual must re-filter).
+// selects (the residual must re-filter). It covers a COUNT(*) over a glob
+// that selects ~1% of the store and a hash join of two pushed scans on
+// (timestamp, tag).
 func TestPushdownSupersetExecution(t *testing.T) {
 	cat := planCatalog(t)
 	queries := []string{
@@ -177,6 +179,9 @@ func TestPushdownSupersetExecution(t *testing.T) {
 		`SELECT timestamp, value FROM tsdb WHERE metric_name GLOB '*_usage' AND timestamp >= '2026-01-01T00:10:00Z' ORDER BY timestamp, value`,
 		`SELECT tag, AVG(value) AS v FROM tsdb WHERE metric_name = 'mem_usage' AND tag = 'host=web-1' GROUP BY tag`,
 		`SELECT value FROM tsdb WHERE metric_name LIKE 'rare%'`,
+		`SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb WHERE metric_name GLOB 'rare*'`,
+		`SELECT a.tag, a.value, b.value FROM tsdb a JOIN tsdb b ON a.timestamp = b.timestamp AND a.tag = b.tag ` +
+			`WHERE a.metric_name = 'cpu_usage' AND b.metric_name = 'mem_usage'`,
 	}
 	for _, q := range queries {
 		stmt, err := sp.ParseStatement(q)

@@ -112,16 +112,28 @@ func TestCompareProperties(t *testing.T) {
 	}
 }
 
+// TestDedupIdempotent: DISTINCT and UNION keep the first of each
+// duplicate row in input order, and deduplicating again changes nothing.
 func TestDedupIdempotent(t *testing.T) {
 	r := NewRelation("a", "b")
 	vals := []float64{1, 2, 1, 3, 2, 1}
 	for _, v := range vals {
 		_ = r.AddRow(Number(v), Number(v*2))
 	}
-	once := dedupRows(r)
-	twice := dedupRows(once)
-	if once.NumRows() != 3 || twice.NumRows() != once.NumRows() {
-		t.Fatalf("dedup rows %d then %d", once.NumRows(), twice.NumRows())
+	cat := NewMemCatalog()
+	cat.Register("r", r)
+	once := mustRun(t, cat, `SELECT DISTINCT a, b FROM r`)
+	if once.NumRows() != 3 || once.Rows[0][0].F != 1 || once.Rows[1][0].F != 2 || once.Rows[2][0].F != 3 {
+		t.Fatalf("DISTINCT kept %v", once)
+	}
+	for _, q := range []string{
+		`SELECT DISTINCT a, b FROM (SELECT DISTINCT a, b FROM r) x`,
+		`SELECT a, b FROM r UNION SELECT a, b FROM r`,
+		`SELECT DISTINCT a, b FROM (SELECT a, b FROM r UNION SELECT a, b FROM r) x`,
+	} {
+		if again := mustRun(t, cat, q); !sameRelationBits(once, again) {
+			t.Errorf("%q:\n%v\nwant\n%v", q, again, once)
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package explainit
 
 import (
 	"math"
+	"os"
 	"testing"
 	"time"
 
 	"explainit/internal/simulator"
+	ts "explainit/internal/timeseries"
 )
 
 // seriesObservations flattens one series slice into PutBatch records.
@@ -80,5 +82,81 @@ func TestStressShardDeterminism(t *testing.T) {
 					shards, wantShards, i, a.Family, a.Score, b.Family, b.Score)
 			}
 		}
+	}
+}
+
+// TestStressFacadeScale drives the facade end to end at scale: a stress
+// scenario streamed through Client.PutBatch in the generator's sink mode
+// (so 100k series never exist in memory twice), BuildFamilies, and one
+// conditioned Explain. The shapes walk the series-count axis (200
+// families replicated across ever more hosts, up to 100k series) and the
+// family-count axis (up to 10k single-series families). Every shape must
+// rank the labelled cause in the top 5 (it ranked 3rd on all six when they
+// were pinned). Gated like TestStressScaleSweep.
+func TestStressFacadeScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("facade scale shapes skipped in -short")
+	}
+	if os.Getenv("EXPLAINIT_SCALE_SUITE") == "" {
+		t.Skip("set EXPLAINIT_SCALE_SUITE=1 to run the facade scale shapes")
+	}
+	shapes := []struct {
+		name                string
+		families, perFamily int
+	}{
+		{"series1k", 200, 5},
+		{"series10k", 200, 50},
+		{"series100k", 200, 500},
+		{"families1k", 1000, 1},
+		{"families5k", 5000, 1},
+		{"families10k", 10000, 1},
+	}
+	for _, s := range shapes {
+		t.Run(s.name, func(t *testing.T) {
+			c := New()
+			var batch []Observation
+			flush := func() {
+				if err := c.PutBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+			cfg := simulator.CardinalityStress(s.families, 21)
+			cfg.SeriesPerFamily = s.perFamily
+			cfg.Sink = func(series *ts.Series) {
+				for _, smp := range series.Samples {
+					batch = append(batch, Observation{Metric: series.Name, Tags: Tags(series.Tags), At: smp.TS, Value: smp.Value})
+				}
+				if len(batch) >= 65536 {
+					flush()
+				}
+			}
+			sc := simulator.StressScenario(cfg)
+			flush()
+			if _, err := c.BuildFamilies("name", sc.Range.From, sc.Range.To, sc.Step); err != nil {
+				t.Fatal(err)
+			}
+			opts := ExplainOptions{Target: sc.Target, Condition: []string{simulator.StressLoad}, TopK: 20, Seed: 1}
+			// Wide replicated families lean on the paper's projection
+			// scorer, as a production deployment at that width would.
+			if s.perFamily > 50 {
+				opts.Scorer = L2P50
+			}
+			got, err := c.Explain(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cause, rank := sc.PrimaryCauses()[0], 0
+			for i, row := range got.Rows {
+				if row.Family == cause {
+					rank = i + 1
+					break
+				}
+			}
+			t.Logf("%d series, %d families: %q at rank %d of the top %d", c.NumSeries(), s.families, cause, rank, len(got.Rows))
+			if rank == 0 || rank > 5 {
+				t.Fatalf("conditioned rank of %q = %d, floor is top-5", cause, rank)
+			}
+		})
 	}
 }
