@@ -3,7 +3,6 @@ package explainit
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"explainit/internal/rescache"
 )
@@ -13,11 +12,13 @@ import (
 // seed, TopK, explain range) and the data under the store — so the facade
 // memoizes completed rankings in a watermark-validated LRU
 // (internal/rescache) keyed by the former and invalidated by the latter.
-// Explain, ExplainStream, Investigation steps and (through them) the SQL
-// and HTTP layers all consult it: a repeat EXPLAIN over unchanged data
-// returns the identical Ranking without touching the engine. Worker count
-// is deliberately not part of the key — rankings are bitwise identical at
-// any worker count, so results are shared across parallelism settings.
+// The one ranking path, Client.rank, builds the one key (rankSpec.key),
+// probes and stores; every Explain, ExplainStream, Investigation step, SQL
+// EXPLAIN and watch tick runs through it, so a repeat EXPLAIN over
+// unchanged data returns the identical Ranking without touching the engine
+// whichever surface asked. Worker count is deliberately not part of the
+// key — rankings are bitwise identical at any worker count, so results are
+// shared across parallelism settings.
 
 // defaultRankingCacheCap bounds the ranking LRU. Each entry is one TopK
 // result table (a few KB), so the default is generous for dashboard-style
@@ -64,37 +65,31 @@ func (c *Client) famGeneration() uint64 {
 	return c.famGen
 }
 
-// rankingKey renders one computation's identity. createGen/curGen are the
-// family-registry generations the computation's pinned families were
-// resolved at and the current one: an ad-hoc Explain uses the same value
-// twice, while an Investigation step keys on (session generation, current
-// generation) — its target and conditioning are pinned at session creation
-// but candidates resolve live, so a step only shares results with
-// computations seeing exactly that combination. condNames is the
-// conditioning sequence in engine order (order matters: column order
-// affects float rounding, and the cache must only ever serve bitwise
-// replays).
-func rankingKey(createGen, curGen uint64, target string, condNames []string,
-	pseudo bool, pseudoPeriod int, searchSpace []string,
-	scorer ScorerName, seed int64, topK int, from, to time.Time) string {
+// key renders the identity of the computation spec declares, at registry
+// generation gen and resolved TopK. The conditioning sequence is keyed in
+// engine order — the named families, and the pseudocause first (a
+// session's) or last (Explain's) — because column order affects float
+// rounding and the cache must only ever serve bitwise replays. The scorer
+// is keyed by what it builds, so "" and L2 share entries.
+func (s *rankSpec) key(gen uint64, topK int) string {
+	pseudo := "none"
+	if s.Pseudocause {
+		pseudo = "last"
+		if s.pin != nil {
+			pseudo = "first"
+		}
+	}
+	scorer := s.Scorer
+	if scorer == "" {
+		scorer = L2
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d\x1e%d\x1e%s\x1e%t\x1e%d\x1e", createGen, curGen, target, pseudo, pseudoPeriod)
-	b.WriteString(strings.Join(condNames, "\x1f"))
+	fmt.Fprintf(&b, "%d\x1e%s\x1e%s\x1e%d\x1e", gen, s.Target, pseudo, s.PseudocausePeriod)
+	b.WriteString(strings.Join(s.Condition, "\x1f"))
 	b.WriteByte('\x1e')
-	b.WriteString(strings.Join(searchSpace, "\x1f"))
-	fmt.Fprintf(&b, "\x1e%s\x1e%d\x1e%d\x1e%d\x1e%d", scorer, seed, topK, from.UnixNano(), to.UnixNano())
+	b.WriteString(strings.Join(s.SearchSpace, "\x1f"))
+	fmt.Fprintf(&b, "\x1e%s\x1e%d\x1e%d\x1e%d\x1e%d", scorer, s.Seed, topK, s.ExplainFrom.UnixNano(), s.ExplainTo.UnixNano())
 	return b.String()
-}
-
-// explainOptsKey keys an ad-hoc Explain/ExplainStream call. The
-// pseudocause, when requested, is derived from the target and appended
-// after the named conditions by resolveExplain, so flag + period fully
-// determine it; an Investigation orders the pseudocause first and its name
-// lands in condNames instead — the two shapes never collide.
-func explainOptsKey(gen uint64, opts ExplainOptions) string {
-	return rankingKey(gen, gen, opts.Target, opts.Condition,
-		opts.Pseudocause, opts.PseudocausePeriod, opts.SearchSpace,
-		opts.Scorer, opts.Seed, opts.TopK, opts.ExplainFrom, opts.ExplainTo)
 }
 
 // clone returns an independent copy of the ranking, so cached snapshots and
@@ -109,22 +104,4 @@ func (r *Ranking) clone() *Ranking {
 		cp.Skipped = append([]string(nil), r.Skipped...)
 	}
 	return cp
-}
-
-// replayRanking turns a cached ranking into the stream a live computation
-// would have produced: one Row event per ranked row (in rank order — the
-// original completion order is not recorded) and the terminal Final event.
-// The channel is pre-filled and closed, so consuming it never blocks. The
-// caller passes an already-cloned ranking; row events copy per-row again so
-// every event owns its value.
-func replayRanking(r *Ranking) <-chan RankUpdate {
-	total := len(r.Rows)
-	ch := make(chan RankUpdate, total+1)
-	for i := range r.Rows {
-		row := r.Rows[i]
-		ch <- RankUpdate{Row: &row, Scored: i + 1, Total: total}
-	}
-	ch <- RankUpdate{Final: r, Scored: total, Total: total}
-	close(ch)
-	return ch
 }

@@ -101,6 +101,19 @@ func TestRepeatExplainCacheBitwise(t *testing.T) {
 	if st := c.RankingCacheStats(); st.Hits != 2 {
 		t.Fatalf("stream replay was not a hit: %+v", st)
 	}
+
+	// The default scorer spelled out ("" vs L2 build the same scorer) is
+	// the same computation, so it hits the same entry.
+	spelled := opts
+	spelled.Scorer = L2
+	l2, err := c.Explain(spelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRankingRows(t, first, l2, false)
+	if st := c.RankingCacheStats(); st.Hits != 3 || st.Entries != 1 {
+		t.Fatalf("Scorer L2 did not share the default scorer's entry: %+v", st)
+	}
 }
 
 // TestCacheServesIsolatedCopies: mutating a served result must not poison
@@ -232,8 +245,8 @@ func TestInvestigationStepCacheHit(t *testing.T) {
 	}
 }
 
-// TestQueryPathCacheHit: the SQL layer compiles EXPLAIN ... GIVEN into
-// one-step sessions, and repeats hit the same cache.
+// TestQueryPathCacheHit: the SQL layer runs EXPLAIN ... GIVEN through the
+// one ranking path, and repeats hit the same cache.
 func TestQueryPathCacheHit(t *testing.T) {
 	c, _ := cacheClient(t)
 	const q = `EXPLAIN pipeline_runtime GIVEN noise_a LIMIT 5`

@@ -53,12 +53,19 @@ type Tags map[string]string
 // families while rankings resolve candidates.
 type Client struct {
 	db       *tsdb.DB
-	famMu    sync.RWMutex // guards families, famOrder and famGen
+	famMu    sync.RWMutex // guards families, famOrder, famByName and famGen
 	families map[string]*core.Family
 	famOrder []string
+	// famByName is the registry in name order: the candidate set of every
+	// ranking without a search space. It is rebuilt, never mutated, on each
+	// registry change, so rankings share it without copying.
+	famByName []*core.Family
 	// famGen counts registry mutations; it keys cached rankings to the
 	// registry build they were computed against (see cache.go).
 	famGen uint64
+	// now is the request clock that the request latency metric reads
+	// (time.Now; tests script it).
+	now    func() time.Time
 	rcache atomic.Pointer[rescache.Cache]
 	// SQL-layer caches (sqlcache.go): compiled physical plans keyed by
 	// statement text, and pushed-down scan relations validated against the
@@ -81,6 +88,7 @@ func newClient(db *tsdb.DB) *Client {
 	c := &Client{
 		db:       db,
 		families: make(map[string]*core.Family),
+		now:      time.Now,
 	}
 	c.rcache.Store(rescache.New(defaultRankingCacheCap))
 	c.sqlPlans.Store(rescache.New(defaultSQLPlanCacheCap))
@@ -263,6 +271,15 @@ func (c *Client) registerFamilies(fams []*core.Family, replace bool) []FamilyInf
 		c.families[f.Name] = f
 		infos = append(infos, FamilyInfo{Name: f.Name, Features: f.NumFeatures(), Rows: f.NumRows()})
 	}
+	names := make([]string, 0, len(c.families))
+	for n := range c.families {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	c.famByName = make([]*core.Family, len(names))
+	for i, n := range names {
+		c.famByName[i] = c.families[n]
+	}
 	return infos
 }
 
@@ -408,77 +425,18 @@ func truncate(s string, n int) string {
 // resolveFamily looks a family up by name, wrapping the failure in
 // ErrUnknownFamily with the caller's role annotation.
 func (c *Client) resolveFamily(name, role string) (*core.Family, error) {
-	f, ok := c.getFamily(name)
+	c.famMu.RLock()
+	defer c.famMu.RUnlock()
+	return c.familyLocked(name, role)
+}
+
+// familyLocked is resolveFamily for a caller holding famMu.
+func (c *Client) familyLocked(name, role string) (*core.Family, error) {
+	f, ok := c.families[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s %q (call BuildFamilies first)", ErrUnknownFamily, role, name)
 	}
 	return f, nil
-}
-
-// candidateFamilies resolves the search space: the named families, or every
-// defined family in name order when searchSpace is empty.
-func (c *Client) candidateFamilies(searchSpace []string) ([]*core.Family, error) {
-	if len(searchSpace) > 0 {
-		candidates := make([]*core.Family, 0, len(searchSpace))
-		for _, name := range searchSpace {
-			f, err := c.resolveFamily(name, "search-space family")
-			if err != nil {
-				return nil, err
-			}
-			candidates = append(candidates, f)
-		}
-		return candidates, nil
-	}
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	names := make([]string, 0, len(c.families))
-	for n := range c.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	candidates := make([]*core.Family, 0, len(names))
-	for _, n := range names {
-		candidates = append(candidates, c.families[n])
-	}
-	return candidates, nil
-}
-
-// resolveExplain turns one ExplainOptions into an engine plus request.
-func (c *Client) resolveExplain(opts ExplainOptions) (*core.Engine, core.Request, error) {
-	var req core.Request
-	target, err := c.resolveFamily(opts.Target, "target family")
-	if err != nil {
-		return nil, req, err
-	}
-	var condition []*core.Family
-	for _, name := range opts.Condition {
-		f, err := c.resolveFamily(name, "conditioning family")
-		if err != nil {
-			return nil, req, err
-		}
-		condition = append(condition, f)
-	}
-	if opts.Pseudocause {
-		pc, err := core.Pseudocause(target, opts.PseudocausePeriod)
-		if err != nil {
-			return nil, req, err
-		}
-		condition = append(condition, pc)
-	}
-	candidates, err := c.candidateFamilies(opts.SearchSpace)
-	if err != nil {
-		return nil, req, err
-	}
-	scorer, err := scorerFor(opts.Scorer, opts.Seed)
-	if err != nil {
-		return nil, req, err
-	}
-	eng := &core.Engine{Scorer: scorer, Workers: opts.Workers, TopK: opts.TopK}
-	req = core.Request{Target: target, Condition: condition, Candidates: candidates}
-	if !opts.ExplainFrom.IsZero() || !opts.ExplainTo.IsZero() {
-		req.ExplainRange = ts.TimeRange{From: opts.ExplainFrom, To: opts.ExplainTo}
-	}
-	return eng, req, nil
 }
 
 // rankedFromResult converts one engine result into a facade row (Rank not
@@ -525,41 +483,9 @@ func (c *Client) Explain(opts ExplainOptions) (*Ranking, error) {
 // rebuild) returns the identical Ranking without touching the engine. See
 // cache.go for the keying and invalidation rules.
 func (c *Client) ExplainContext(ctx context.Context, opts ExplainOptions) (*Ranking, error) {
-	start := time.Now()
-	defer noteRequest(metExplainReqs, start)
-	cache := c.rankingCache()
-	var key string
-	var wm []uint64
-	if cache.Enabled() {
-		// Watermarks are snapshotted before any data is read: a write landing
-		// mid-ranking moves them past the snapshot, so the entry stored below
-		// can never outlive data it did not see.
-		_, endProbe := obs.StartSpan(ctx, "cache_probe")
-		key = explainOptsKey(c.famGeneration(), opts)
-		wm = c.db.Watermarks()
-		v, ok := cache.Get(key, wm)
-		endProbe()
-		if ok {
-			return v.(*Ranking).clone(), nil
-		}
-	}
-	_, endPlan := obs.StartSpan(ctx, "plan")
-	eng, req, err := c.resolveExplain(opts)
-	endPlan()
-	if err != nil {
-		return nil, err
-	}
-	rankCtx, endRank := obs.StartSpan(ctx, "rank")
-	table, err := eng.RankCtx(rankCtx, req, nil)
-	endRank()
-	if err != nil {
-		return nil, err
-	}
-	ranking := rankingFromTable(table)
-	if cache.Enabled() {
-		cache.Put(key, wm, ranking.clone())
-	}
-	return ranking, nil
+	defer c.noteRequest(metExplainReqs, c.now())
+	r, _, err := c.rank(ctx, rankSpec{ExplainOptions: opts}, nil, nil)
+	return r, err
 }
 
 // RankUpdate is one event on a streaming ranking channel. Progress events
@@ -585,74 +511,238 @@ type RankUpdate struct {
 // stream's Final ranking is identical to the blocking ExplainContext
 // result at any worker count.
 func (c *Client) ExplainStream(ctx context.Context, opts ExplainOptions) (<-chan RankUpdate, error) {
-	start := time.Now()
+	start := c.now()
+	return c.rankStream(ctx, rankSpec{ExplainOptions: opts}, nil, func(*Ranking, *core.CondState, error) {
+		c.noteRequest(metExplainStreamReqs, start)
+	})
+}
+
+// rankSpec declares one ranking — one iteration of Algorithm 1 — the way
+// every entry point states it: Explain's options, a compiled SQL EXPLAIN or
+// watch tick (planSpec), or an Investigation step (beginStep).
+type rankSpec struct {
+	ExplainOptions
+	// sql gives the ranking SQL's semantics: without a LIMIT it is the
+	// full ranking, so the engine ranks at TopK = the registry size (every
+	// candidate set is a subset of it), and limit ≥ 0 trims the rows
+	// returned. The cached and streamed ranking is the untrimmed one.
+	sql   bool
+	limit int
+	// pin, when set, carries a session's pinned families; only the
+	// candidates then resolve from the live registry.
+	pin *sessionPin
+}
+
+// sessionPin is what an Investigation pinned: its target at registry
+// generation gen, and its conditioning families in engine order — the
+// pseudocause first, where Explain derives it per request and appends it.
+type sessionPin struct {
+	gen       uint64
+	target    *core.Family
+	condition []*core.Family
+}
+
+// rankInputs is what one ranking reads from the family registry.
+type rankInputs struct {
+	gen        uint64
+	target     *core.Family
+	condition  []*core.Family
+	candidates []*core.Family
+	topK       int
+}
+
+// resolve reads everything spec ranks over from one registry snapshot,
+// under one read lock: a concurrent BuildFamilies lands wholly before or
+// wholly after it, so one ranking never mixes two builds.
+func (c *Client) resolve(spec *rankSpec) (rankInputs, error) {
+	c.famMu.RLock()
+	defer c.famMu.RUnlock()
+	in := rankInputs{gen: c.famGen, topK: spec.TopK, candidates: c.famByName}
+	if spec.sql {
+		in.topK = len(c.families)
+	}
+	if spec.pin != nil {
+		in.target, in.condition = spec.pin.target, spec.pin.condition
+	} else {
+		var err error
+		if in.target, err = c.familyLocked(spec.Target, "target family"); err != nil {
+			return in, err
+		}
+		for _, name := range spec.Condition {
+			f, err := c.familyLocked(name, "conditioning family")
+			if err != nil {
+				return in, err
+			}
+			in.condition = append(in.condition, f)
+		}
+	}
+	if len(spec.SearchSpace) > 0 {
+		in.candidates = make([]*core.Family, 0, len(spec.SearchSpace))
+		for _, name := range spec.SearchSpace {
+			f, err := c.familyLocked(name, "search-space family")
+			if err != nil {
+				return in, err
+			}
+			in.candidates = append(in.candidates, f)
+		}
+	}
+	return in, nil
+}
+
+// rank is the one ranking path: Explain, ExplainStream, Investigation
+// steps, SQL EXPLAIN and watch ticks all run it. In order, it
+//
+//  1. resolves target, conditioning and candidates from one registry
+//     snapshot (plan span);
+//  2. builds the computation's one cache key;
+//  3. probes the ranking cache (cache_probe span);
+//  4. prepares the conditioning design through PrepareConditioning,
+//     extending donor — a session's best factored prefix — when there is
+//     one (gram_cholesky span, which also covers deriving an Explain's
+//     pseudocause);
+//  5. ranks the candidates with RankPrepared (rank span);
+//  6. stores the result.
+//
+// onRow, when non-nil, first receives one event that carries only Total,
+// the candidate count, once step 1 has succeeded; then one event per scored
+// candidate, or on a cache hit one per cached row in rank order. The
+// returned state is the conditioning design the ranking used (nil on a hit
+// or without one), returned even when the ranking fails so a session can
+// keep it. rank records no request metric: that is the entry point's job.
+func (c *Client) rank(ctx context.Context, spec rankSpec, donor *core.CondState, onRow func(RankUpdate)) (*Ranking, *core.CondState, error) {
+	_, endPlan := obs.StartSpan(ctx, "plan")
+	in, err := c.resolve(&spec)
+	var scorer core.Scorer
+	if err == nil {
+		scorer, err = scorerFor(spec.Scorer, spec.Seed)
+	}
+	endPlan()
+	if err != nil {
+		return nil, nil, err
+	}
+	if onRow != nil {
+		onRow(RankUpdate{Total: len(in.candidates)})
+	}
+
 	cache := c.rankingCache()
 	var key string
 	var wm []uint64
-	var onDone func(*Ranking, error)
-	if cache.Enabled() {
+	// A session whose target predates the current registry build ranks
+	// uncached: its pinned families are not the ones the key's generation
+	// names.
+	if cache.Enabled() && (spec.pin == nil || spec.pin.gen == in.gen) {
+		// Watermarks are snapshotted before the ranking runs: a write landing
+		// mid-ranking moves them past the snapshot, so the entry stored below
+		// can never outlive data it did not see.
 		_, endProbe := obs.StartSpan(ctx, "cache_probe")
-		key = explainOptsKey(c.famGeneration(), opts)
-		wm = c.db.Watermarks()
-		v, ok := cache.Get(key, wm)
+		key, wm = spec.key(in.gen, in.topK), c.db.Watermarks()
+		v, hit := cache.Get(key, wm)
 		endProbe()
-		if ok {
-			noteRequest(metExplainStreamReqs, start)
-			return replayRanking(v.(*Ranking).clone()), nil
+		if hit {
+			r := v.(*Ranking).clone()
+			if onRow != nil {
+				for i := range r.Rows {
+					row := r.Rows[i]
+					onRow(RankUpdate{Row: &row, Scored: i + 1, Total: len(r.Rows)})
+				}
+			}
+			return spec.trim(r), nil, nil
 		}
-		onDone = func(r *Ranking, err error) {
-			if err == nil {
-				cache.Put(key, wm, r.clone())
+	}
+
+	eng := &core.Engine{Scorer: scorer, Workers: spec.Workers, TopK: in.topK}
+	condition := in.condition
+	adhocPseudo := spec.Pseudocause && spec.pin == nil
+	var state *core.CondState
+	if len(condition) > 0 || adhocPseudo {
+		_, endPrep := obs.StartSpan(ctx, "gram_cholesky")
+		if adhocPseudo {
+			var pc *core.Family
+			if pc, err = core.Pseudocause(in.target, spec.PseudocausePeriod); err == nil {
+				condition = append(condition[:len(condition):len(condition)], pc)
 			}
 		}
-	}
-	_, endPlan := obs.StartSpan(ctx, "plan")
-	eng, req, err := c.resolveExplain(opts)
-	endPlan()
-	if err != nil {
-		return nil, err
-	}
-	return streamRank(ctx, eng, req, nil, func(r *Ranking, err error) {
-		if onDone != nil {
-			onDone(r, err)
+		if err == nil {
+			state, err = eng.PrepareConditioning(in.target, condition, donor)
 		}
-		noteRequest(metExplainStreamReqs, start)
-	}), nil
+		endPrep()
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+
+	req := core.Request{Target: in.target, Condition: condition, Candidates: in.candidates}
+	if !spec.ExplainFrom.IsZero() || !spec.ExplainTo.IsZero() {
+		req.ExplainRange = ts.TimeRange{From: spec.ExplainFrom, To: spec.ExplainTo}
+	}
+	var onResult func(core.Result)
+	if onRow != nil {
+		scored, total := 0, len(in.candidates)
+		onResult = func(res core.Result) {
+			scored++
+			u := RankUpdate{Scored: scored, Total: total}
+			if res.Err == nil {
+				row := rankedFromResult(res)
+				u.Row = &row
+			}
+			onRow(u)
+		}
+	}
+	rankCtx, endRank := obs.StartSpan(ctx, "rank")
+	table, err := eng.RankPrepared(rankCtx, req, state, onResult)
+	endRank()
+	if err != nil {
+		return nil, state, err
+	}
+	ranking := rankingFromTable(table)
+	if key != "" {
+		cache.Put(key, wm, ranking.clone())
+	}
+	return spec.trim(ranking), state, nil
 }
 
-// streamRank runs one ranking on a fresh goroutine, translating the
-// engine's onResult callback into channel events. The channel is buffered
-// to the maximum possible event count so the goroutine can never block on
-// a slow or departed consumer.
-func streamRank(ctx context.Context, eng *core.Engine, req core.Request, cond *core.CondState, onDone func(*Ranking, error)) <-chan RankUpdate {
-	total := len(req.Candidates)
-	ch := make(chan RankUpdate, total+1)
+// trim applies a SQL spec's LIMIT to a ranking the caller owns.
+func (s *rankSpec) trim(r *Ranking) *Ranking {
+	if s.sql && s.limit >= 0 && len(r.Rows) > s.limit {
+		r.Rows = r.Rows[:s.limit]
+	}
+	return r
+}
+
+// rankStream runs rank on one goroutine and delivers it as RankUpdate
+// events: each scored (or replayed) candidate, then the terminal event with
+// the ranking or the error. rank's first event hands back the candidate
+// count before anything is scored, so resolution errors still return
+// synchronously and the channel is buffered for the whole ranking: an
+// abandoned stream never blocks the goroutine. done runs exactly once,
+// when the request completes — on the caller's goroutine if
+// resolution fails, otherwise on the stream's goroutine before the terminal
+// event, so a consumer that sees that event also sees done's effects.
+func (c *Client) rankStream(ctx context.Context, spec rankSpec, donor *core.CondState, done func(*Ranking, *core.CondState, error)) (<-chan RankUpdate, error) {
+	resolved := make(chan error, 1)
+	var ch chan RankUpdate
 	go func() {
-		defer close(ch)
-		scored := 0
-		rankCtx, endRank := obs.StartSpan(ctx, "rank")
-		defer endRank()
-		table, err := eng.RankPrepared(rankCtx, req, cond, func(res core.Result) {
-			scored++
-			if res.Err != nil {
-				ch <- RankUpdate{Scored: scored, Total: total}
-				return
+		var last RankUpdate
+		r, state, err := c.rank(ctx, spec, donor, func(u RankUpdate) {
+			if ch == nil {
+				ch = make(chan RankUpdate, u.Total+1)
+				resolved <- nil
+			} else {
+				ch <- u
 			}
-			row := rankedFromResult(res)
-			ch <- RankUpdate{Row: &row, Scored: scored, Total: total}
+			last = u
 		})
-		if err != nil {
-			if onDone != nil {
-				onDone(nil, err)
-			}
-			ch <- RankUpdate{Err: err, Scored: scored, Total: total}
+		if ch == nil {
+			resolved <- err
 			return
 		}
-		ranking := rankingFromTable(table)
-		if onDone != nil {
-			onDone(ranking, nil)
-		}
-		ch <- RankUpdate{Final: ranking, Scored: scored, Total: total}
+		done(r, state, err)
+		ch <- RankUpdate{Final: r, Err: err, Scored: last.Scored, Total: last.Total}
+		close(ch)
 	}()
-	return ch
+	if err := <-resolved; err != nil {
+		done(nil, nil, err)
+		return nil, err
+	}
+	return ch, nil
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"explainit/internal/obs"
 )
 
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -287,6 +289,64 @@ func TestFamiliesListing(t *testing.T) {
 	for _, f := range fams {
 		if f.Rows != 360 || f.Features < 1 {
 			t.Fatalf("family info %+v", f)
+		}
+	}
+}
+
+// requestLatencyCount reads how many request latencies the facade has
+// observed so far.
+func requestLatencyCount(t *testing.T) uint64 {
+	t.Helper()
+	for _, p := range obs.Default().Snapshot() {
+		if p.Name == "explainit_request_latency_ms" {
+			return p.Count
+		}
+	}
+	t.Fatal("explainit_request_latency_ms is not registered")
+	return 0
+}
+
+// TestOneRequestOneObservation: every public entry-point call records
+// exactly one request latency, whatever rankings it runs inside (a Query's
+// EXPLAIN, with or without GIVEN, is not a second request).
+func TestOneRequestOneObservation(t *testing.T) {
+	c, from, to := seedClient(t)
+	if _, err := c.BuildFamilies("name", from, to, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	inv, err := c.NewInvestigation("pipeline_runtime", InvestigateOptions{Condition: []string{"noise_a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inv.Close()
+	ctx := context.Background()
+	for _, call := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Explain", func() error {
+			_, err := c.Explain(ExplainOptions{Target: "pipeline_runtime"})
+			return err
+		}},
+		{"Query EXPLAIN", func() error {
+			_, err := c.Query(ctx, "EXPLAIN pipeline_runtime LIMIT 3")
+			return err
+		}},
+		{"Query EXPLAIN GIVEN", func() error {
+			_, err := c.Query(ctx, "EXPLAIN pipeline_runtime GIVEN noise_a LIMIT 3")
+			return err
+		}},
+		{"Step", func() error {
+			_, err := inv.Step(ctx)
+			return err
+		}},
+	} {
+		before := requestLatencyCount(t)
+		if err := call.run(); err != nil {
+			t.Fatalf("%s: %v", call.name, err)
+		}
+		if got := requestLatencyCount(t) - before; got != 1 {
+			t.Errorf("%s observed %d request latencies, want 1", call.name, got)
 		}
 	}
 }

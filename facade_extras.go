@@ -1,6 +1,7 @@
 package explainit
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -98,14 +99,16 @@ func (c *Client) ExplainAdjusted(opts ExplainOptions, method Correction, alpha f
 // ExplainMulti runs several ranking queries and fuses their results with
 // reciprocal-rank fusion — the "results from multiple queries" improvement
 // the paper's conclusion sketches. Each query is an ExplainOptions; all
-// must target families defined on this client.
+// must target families defined on this client. The call counts as one
+// explain request.
 func (c *Client) ExplainMulti(queries []ExplainOptions) ([]MergedFamily, error) {
+	defer c.noteRequest(metExplainReqs, c.now())
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("explainit: no queries to merge")
 	}
 	tables := make([]*core.ScoreTable, 0, len(queries))
 	for i, q := range queries {
-		ranking, err := c.Explain(q)
+		ranking, _, err := c.rank(context.Background(), rankSpec{ExplainOptions: q}, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("explainit: query %d: %w", i, err)
 		}

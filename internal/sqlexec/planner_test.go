@@ -171,13 +171,14 @@ func TestPlanWindowDisablesPushdown(t *testing.T) {
 // full-materialize path returns, including when the pushed pattern over-
 // selects (the residual must re-filter). It covers a COUNT(*) over a glob
 // that selects ~1% of the store and a hash join of two pushed scans on
-// (timestamp, tag).
+// (timestamp, tag). Every query must select rows. The tag column renders
+// as "{host=web-1}", so that is the literal a tag equality compares with.
 func TestPushdownSupersetExecution(t *testing.T) {
 	cat := planCatalog(t)
 	queries := []string{
 		`SELECT timestamp, tag, value FROM tsdb WHERE metric_name = 'cpu_usage' ORDER BY timestamp, tag`,
 		`SELECT timestamp, value FROM tsdb WHERE metric_name GLOB '*_usage' AND timestamp >= '2026-01-01T00:10:00Z' ORDER BY timestamp, value`,
-		`SELECT tag, AVG(value) AS v FROM tsdb WHERE metric_name = 'mem_usage' AND tag = 'host=web-1' GROUP BY tag`,
+		`SELECT tag, AVG(value) AS v FROM tsdb WHERE metric_name = 'mem_usage' AND tag = '{host=web-1}' GROUP BY tag`,
 		`SELECT value FROM tsdb WHERE metric_name LIKE 'rare%'`,
 		`SELECT COUNT(*) AS n, AVG(value) AS v FROM tsdb WHERE metric_name GLOB 'rare*'`,
 		`SELECT a.tag, a.value, b.value FROM tsdb a JOIN tsdb b ON a.timestamp = b.timestamp AND a.tag = b.tag ` +
@@ -195,6 +196,9 @@ func TestPushdownSupersetExecution(t *testing.T) {
 		got, err := ExecuteStatement(context.Background(), stmt, cat, nil)
 		if err != nil {
 			t.Fatalf("planner %q: %v", q, err)
+		}
+		if got.NumRows() == 0 {
+			t.Errorf("%q selects no rows: comparing two empty relations proves nothing", q)
 		}
 		assertSameRelation(t, q, want, got)
 	}

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"explainit/internal/core"
-	"explainit/internal/obs"
-	ts "explainit/internal/timeseries"
 )
 
 // InvestigateOptions configures an Investigation session. Unlike
@@ -71,16 +69,16 @@ type StepRecord struct {
 // (see core.PrepareConditioning / regress.ExtendDesign), so iterating is
 // cheap exactly where the workflow iterates.
 //
-// An Investigation is safe for concurrent use, but steps are serialized:
-// a Step/ExplainStream while another is running fails with
-// ErrStepInProgress rather than racing the conditioning cache.
+// An Investigation holds only session state; each step runs the client's
+// one ranking path (Client.rank) over it. It is safe for concurrent use,
+// but steps are serialized: a Step/ExplainStream while another is running
+// fails with ErrStepInProgress rather than racing the conditioning cache.
 type Investigation struct {
 	client     *Client
 	target     *core.Family
 	targetName string
 	opts       InvestigateOptions
-	gen        uint64 // family-registry generation the session pinned at
-	eng        *core.Engine
+	gen        uint64       // family-registry generation the target was pinned at
 	pseudo     *core.Family // pinned pseudocause family, when requested
 
 	mu       sync.Mutex
@@ -97,12 +95,14 @@ type Investigation struct {
 // and pinned now: rebuilding families mid-session changes future steps'
 // candidates but never the session's target or cached conditioning work.
 func (c *Client) NewInvestigation(target string, opts InvestigateOptions) (*Investigation, error) {
-	fam, err := c.resolveFamily(target, "target family")
+	c.famMu.RLock()
+	fam, err := c.familyLocked(target, "target family")
+	gen := c.famGen
+	c.famMu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	scorer, err := scorerFor(opts.Scorer, opts.Seed)
-	if err != nil {
+	if _, err := scorerFor(opts.Scorer, opts.Seed); err != nil {
 		return nil, err
 	}
 	inv := &Investigation{
@@ -110,8 +110,7 @@ func (c *Client) NewInvestigation(target string, opts InvestigateOptions) (*Inve
 		target:     fam,
 		targetName: target,
 		opts:       opts,
-		gen:        c.famGeneration(),
-		eng:        &core.Engine{Scorer: scorer, Workers: opts.Workers, TopK: opts.TopK},
+		gen:        gen,
 		condFams:   make(map[string]*core.Family),
 		states:     make(map[string]*core.CondState),
 	}
@@ -214,152 +213,106 @@ func (inv *Investigation) Close() error {
 // condSignature is the cache key of one conditioning set.
 func condSignature(names []string) string { return strings.Join(names, "\x1f") }
 
-// stepPlan is what beginStep hands the step runners: either a cached
-// ranking to serve as-is, or the engine request plus conditioning state to
-// compute one (key/wm then locate where to store the result).
-type stepPlan struct {
-	req    core.Request
-	state  *core.CondState
-	sig    string
-	names  []string // conditioning names in engine order, for history
-	cached *Ranking // non-nil: serve without touching the engine
-	key    string   // ranking-cache slot ("" when the cache is disabled)
-	wm     []uint64
+// familyNames lists the families' names, in order.
+func familyNames(fams []*core.Family) []string {
+	names := make([]string, len(fams))
+	for i, f := range fams {
+		names[i] = f.Name
+	}
+	return names
 }
 
-// beginStep snapshots the session under the lock, probes the ranking cache,
-// and on a miss prepares (or fetches) the conditioning state for the
-// current set. It marks the session stepping; the caller must finishStep
-// exactly once. ctx is for tracing only (cache_probe / gram_cholesky
-// spans); cancellation is the step runner's concern.
-func (inv *Investigation) beginStep(ctx context.Context) (stepPlan, error) {
+// beginStep marks the session stepping and declares the step: the ranking
+// over the pinned target and conditioning families, plus the donor for
+// PrepareConditioning. The caller must finishStep exactly once.
+func (inv *Investigation) beginStep() (rankSpec, *core.CondState, error) {
 	inv.mu.Lock()
+	defer inv.mu.Unlock()
 	if inv.closed {
-		inv.mu.Unlock()
-		return stepPlan{}, ErrInvestigationClosed
+		return rankSpec{}, nil, ErrInvestigationClosed
 	}
 	if inv.stepping {
-		inv.mu.Unlock()
-		return stepPlan{}, ErrStepInProgress
+		return rankSpec{}, nil, ErrStepInProgress
 	}
 	inv.stepping = true
 	// The pseudocause leads the conditioning sequence so user additions
 	// extend — never reorder — the cached design's column prefix.
-	var condNames []string
-	var condition []*core.Family
+	pin := &sessionPin{gen: inv.gen, target: inv.target}
 	if inv.pseudo != nil {
-		condNames = append(condNames, inv.pseudo.Name)
-		condition = append(condition, inv.pseudo)
+		pin.condition = append(pin.condition, inv.pseudo)
 	}
 	for _, name := range inv.cond {
-		condNames = append(condNames, name)
-		condition = append(condition, inv.condFams[name])
+		pin.condition = append(pin.condition, inv.condFams[name])
 	}
-	sig := condSignature(condNames)
+	o := inv.opts
+	spec := rankSpec{ExplainOptions: ExplainOptions{
+		Target:            inv.targetName,
+		Condition:         append([]string(nil), inv.cond...),
+		Pseudocause:       inv.pseudo != nil,
+		PseudocausePeriod: o.PseudocausePeriod,
+		SearchSpace:       o.SearchSpace,
+		Scorer:            o.Scorer,
+		TopK:              o.TopK,
+		Workers:           o.Workers,
+		Seed:              o.Seed,
+		ExplainFrom:       o.ExplainFrom,
+		ExplainTo:         o.ExplainTo,
+	}, pin: pin}
+	return spec, inv.donorLocked(pin.condition), nil
+}
+
+// donorLocked picks the factored state a step's conditioning prepares
+// from: the state already factored for exactly this set, else the longest
+// factored proper prefix (by family identity), whose design donates the
+// unchanged columns' factorization.
+func (inv *Investigation) donorLocked(condition []*core.Family) *core.CondState {
+	sig := condSignature(familyNames(condition))
 	state := inv.states[sig]
+	if state != nil && state.Matches(inv.target, condition) {
+		return state
+	}
 	// A state computed before a same-named family was dropped, rebuilt and
 	// re-added matches by signature but not by identity: evict it rather
 	// than conditioning on stale data.
-	var stale *core.CondState
-	if state != nil && !state.Matches(inv.target, condition) {
-		stale = state
-		delete(inv.states, sig)
-		state = nil
-	}
-	var prev *core.CondState
-	if state == nil {
-		// Longest previously factored proper prefix (by family identity) of
-		// the new set: its design donates the unchanged columns'
-		// factorization.
-		best := 0
-		for _, s := range inv.states {
-			if !s.PrefixOf(condition) {
-				continue
-			}
-			if n := len(s.Names()); n > best {
-				prev, best = s, n
-			}
+	delete(inv.states, sig)
+	var best *core.CondState
+	for _, s := range inv.states {
+		if s.PrefixOf(condition) && (best == nil || len(s.Names()) > len(best.Names())) {
+			best = s
 		}
+	}
+	if best == nil {
 		// No identity donor (every family was rebuilt): offer the evicted
 		// stale state instead. PrepareConditioning row-extends its design
 		// when the rebuild only appended samples (a window that grew) and
 		// verifies that bitwise, so a stale donor can never leak old data —
 		// it is either extended with the genuine tail or ignored.
-		if prev == nil {
-			prev = stale
-		}
+		best = state
 	}
-	inv.mu.Unlock()
-
-	plan := stepPlan{sig: sig, names: condNames}
-	// Probe the ranking cache before paying for conditioning prep or
-	// candidate resolution. The key pairs the session's pinned registry
-	// generation with the current one: the session's target/conditioning
-	// resolve at pin time while candidates resolve live, so a result is
-	// shared only between computations that see exactly that combination
-	// (when the registry hasn't changed, the pair collapses to the ad-hoc
-	// Explain form and dashboards re-issuing EXPLAIN ... GIVEN across
-	// fresh one-step sessions hit it).
-	if cache := inv.client.rankingCache(); cache.Enabled() {
-		_, endProbe := obs.StartSpan(ctx, "cache_probe")
-		plan.key = rankingKey(inv.gen, inv.client.famGeneration(), inv.targetName, condNames,
-			inv.opts.Pseudocause, inv.opts.PseudocausePeriod, inv.opts.SearchSpace,
-			inv.opts.Scorer, inv.opts.Seed, inv.opts.TopK, inv.opts.ExplainFrom, inv.opts.ExplainTo)
-		plan.wm = inv.client.db.Watermarks()
-		v, ok := cache.Get(plan.key, plan.wm)
-		endProbe()
-		if ok {
-			plan.cached = v.(*Ranking).clone()
-			return plan, nil
-		}
-	}
-
-	if state == nil && len(condition) > 0 {
-		var err error
-		_, endPrep := obs.StartSpan(ctx, "gram_cholesky")
-		state, err = inv.eng.PrepareConditioning(inv.target, condition, prev)
-		endPrep()
-		if err != nil {
-			inv.mu.Lock()
-			inv.stepping = false
-			inv.mu.Unlock()
-			return stepPlan{}, err
-		}
-	}
-	plan.state = state
-
-	candidates, err := inv.client.candidateFamilies(inv.opts.SearchSpace)
-	if err != nil {
-		inv.mu.Lock()
-		inv.stepping = false
-		inv.mu.Unlock()
-		return stepPlan{}, err
-	}
-	plan.req = core.Request{Target: inv.target, Condition: condition, Candidates: candidates}
-	if !inv.opts.ExplainFrom.IsZero() || !inv.opts.ExplainTo.IsZero() {
-		plan.req.ExplainRange = ts.TimeRange{From: inv.opts.ExplainFrom, To: inv.opts.ExplainTo}
-	}
-	return plan, nil
+	return best
 }
 
-// finishStep stores the conditioning state for reuse and, on success,
-// appends the step to the history.
-func (inv *Investigation) finishStep(sig string, state *core.CondState, condition []string, ranking *Ranking, elapsed time.Duration, err error) {
+// finishStep keeps the step's conditioning state for reuse and, on
+// success, appends the step to the history.
+func (inv *Investigation) finishStep(spec rankSpec, state *core.CondState, ranking *Ranking, elapsed time.Duration, err error) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	inv.stepping = false
 	if inv.closed {
 		return
 	}
+	names := familyNames(spec.pin.condition)
 	if state != nil {
-		inv.states[sig] = state
+		inv.states[condSignature(names)] = state
 	}
-	if err != nil || ranking == nil {
+	if err != nil {
 		return
 	}
+	// A step served from the ranking cache still lands in History (it is a
+	// step the operator took), with the replay's elapsed time.
 	rec := StepRecord{
 		Step:      len(inv.history) + 1,
-		Condition: condition,
+		Condition: names,
 		Rows:      len(ranking.Rows),
 		Elapsed:   elapsed,
 	}
@@ -378,33 +331,16 @@ func (inv *Investigation) finishStep(sig string, state *core.CondState, conditio
 // earlier one only factor the delta. A cancelled ctx returns ctx.Err()
 // promptly with every scoring worker reaped.
 func (inv *Investigation) Step(ctx context.Context) (*Ranking, error) {
-	start := time.Now()
-	defer noteRequest(metStepReqs, start)
-	plan, err := inv.beginStep(ctx)
+	c := inv.client
+	start := c.now()
+	defer c.noteRequest(metStepReqs, start)
+	spec, donor, err := inv.beginStep()
 	if err != nil {
 		return nil, err
 	}
-	if plan.cached != nil {
-		// Served from the ranking cache: the step still lands in History
-		// (it is a step the operator took), with the replay's elapsed time.
-		inv.finishStep(plan.sig, nil, plan.names, plan.cached, time.Since(start), nil)
-		return plan.cached, nil
-	}
-	rankCtx, endRank := obs.StartSpan(ctx, "rank")
-	table, err := inv.eng.RankPrepared(rankCtx, plan.req, plan.state, nil)
-	endRank()
-	var ranking *Ranking
-	if err == nil {
-		ranking = rankingFromTable(table)
-		if cache := inv.client.rankingCache(); plan.key != "" && cache.Enabled() {
-			cache.Put(plan.key, plan.wm, ranking.clone())
-		}
-	}
-	inv.finishStep(plan.sig, plan.state, plan.names, ranking, time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	return ranking, nil
+	ranking, state, err := c.rank(ctx, spec, donor, nil)
+	inv.finishStep(spec, state, ranking, c.now().Sub(start), err)
+	return ranking, err
 }
 
 // ExplainStream is Step with progressive delivery: scored candidates are
@@ -413,22 +349,15 @@ func (inv *Investigation) Step(ctx context.Context) (*Ranking, error) {
 // buffered for the whole step, so abandoning it leaks nothing; cancel ctx
 // to stop the scoring itself.
 func (inv *Investigation) ExplainStream(ctx context.Context) (<-chan RankUpdate, error) {
-	start := time.Now()
-	plan, err := inv.beginStep(ctx)
+	c := inv.client
+	start := c.now()
+	spec, donor, err := inv.beginStep()
 	if err != nil {
+		c.noteRequest(metStepStreamReqs, start)
 		return nil, err
 	}
-	if plan.cached != nil {
-		inv.finishStep(plan.sig, nil, plan.names, plan.cached, time.Since(start), nil)
-		return replayRanking(plan.cached), nil
-	}
-	ch := streamRank(ctx, inv.eng, plan.req, plan.state, func(ranking *Ranking, err error) {
-		if err == nil && plan.key != "" {
-			if cache := inv.client.rankingCache(); cache.Enabled() {
-				cache.Put(plan.key, plan.wm, ranking.clone())
-			}
-		}
-		inv.finishStep(plan.sig, plan.state, plan.names, ranking, time.Since(start), err)
+	return c.rankStream(ctx, spec, donor, func(ranking *Ranking, state *core.CondState, err error) {
+		inv.finishStep(spec, state, ranking, c.now().Sub(start), err)
+		c.noteRequest(metStepStreamReqs, start)
 	})
-	return ch, nil
 }

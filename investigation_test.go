@@ -157,6 +157,18 @@ func TestExplainStreamValidationError(t *testing.T) {
 	if _, err := c.ExplainStream(context.Background(), ExplainOptions{Target: "no_such"}); !errors.Is(err, ErrUnknownFamily) {
 		t.Fatalf("got %v, want ErrUnknownFamily", err)
 	}
+	// A session's stream fails the same way, synchronously, and the failed
+	// step does not leave the session stepping.
+	inv, err := c.NewInvestigation("pipeline_runtime", InvestigateOptions{SearchSpace: []string{"no_such"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inv.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := inv.ExplainStream(context.Background()); !errors.Is(err, ErrUnknownFamily) {
+			t.Fatalf("session stream %d: got %v, want ErrUnknownFamily", i, err)
+		}
+	}
 }
 
 func TestExplainContextCancelled(t *testing.T) {
@@ -441,4 +453,51 @@ func TestInvestigationPseudocauseExtends(t *testing.T) {
 	if len(hist[1].Condition) != 2 {
 		t.Fatalf("step 2 condition %v", hist[1].Condition)
 	}
+}
+
+// TestStaleSessionsDoNotShareRankings: two sessions opened against the
+// same registry build, whose conditioning families were then resolved
+// from different builds, declare different computations. After the
+// rebuild neither may be served the other's cached ranking.
+func TestStaleSessionsDoNotShareRankings(t *testing.T) {
+	c, from, to := seedClient(t)
+	if _, err := c.BuildFamilies("name", from, to, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.NewInvestigation("pipeline_runtime", InvestigateOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.NewInvestigation("pipeline_runtime", InvestigateOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Condition("noise_a"); err != nil {
+		t.Fatal(err)
+	}
+	// Redefine noise_a from tcp_retransmits' samples: same name and rows,
+	// different data, and no ingest, so the shard watermarks do not move.
+	if _, err := c.DefineFamiliesSQL(`
+		SELECT timestamp, 'noise_a' AS fam, AVG(value) AS v
+		FROM tsdb WHERE metric_name = 'tcp_retransmits'
+		GROUP BY timestamp ORDER BY timestamp ASC`,
+		"timestamp", "fam", from, to, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Condition("noise_a"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := a.Step(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Step(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Explain(ExplainOptions{Target: "pipeline_runtime", Condition: []string{"noise_a"}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rankingsEqual(t, got, want)
 }

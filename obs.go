@@ -20,6 +20,7 @@ var (
 	metQueryReqs         = obs.Default().Counter("explainit_requests_total", "kind", "query")
 	metQueryStreamReqs   = obs.Default().Counter("explainit_requests_total", "kind", "query_stream")
 	metStepReqs          = obs.Default().Counter("explainit_requests_total", "kind", "step")
+	metStepStreamReqs    = obs.Default().Counter("explainit_requests_total", "kind", "step_stream")
 
 	// Family rebuild cost: wall time of each BuildFamilies (scan, build and
 	// registry swap) and the series read and families produced, so the
@@ -29,10 +30,14 @@ var (
 	metBuildFamilies   = obs.Default().Counter("explainit_build_families_families")
 )
 
-// noteRequest records one completed facade request of the given kind.
-func noteRequest(kind *obs.Counter, start time.Time) {
+// noteRequest records one completed public request of the given kind: one
+// count and one latency observation, start to now on the client's request
+// clock. Every exported entry point records itself exactly once; the
+// rankings it runs internally (the EXPLAIN inside a Query, a watch tick)
+// record nothing.
+func (c *Client) noteRequest(kind *obs.Counter, start time.Time) {
 	kind.Inc()
-	metRequestLatencyMs.ObserveSince(start)
+	metRequestLatencyMs.Observe(float64(c.now().Sub(start)) / float64(time.Millisecond))
 }
 
 // SelfScrapeMetricPrefix is the name prefix every self-scraped series and

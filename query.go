@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
+	"explainit/internal/core"
 	"explainit/internal/obs"
 	"explainit/internal/sqlexec"
 	"explainit/internal/sqlparse"
@@ -22,11 +22,16 @@ import (
 // (rank, family, features, score, p_value, viz), and composes with the
 // SELECT machinery via FROM (EXPLAIN ...). SQL LIMIT semantics apply: a
 // statement without LIMIT returns the full ranking, not the engine's
-// default top-20. The context cancels a running ranking. Result values are float64, string, time.Time, or nil for SQL
-// NULL; statement errors wrap ErrBadSQL, unknown names ErrUnknownFamily.
+// default top-20. An EXPLAIN, top-level or embedded in FROM, runs the
+// ranking path Explain runs, so it shares cached rankings with every
+// surface that declares the same computation (a watch tick of the same
+// statement, the same EXPLAIN at another LIMIT); the statement counts as
+// one query request however many rankings it runs.
+// The context cancels a running ranking. Result values are float64,
+// string, time.Time, or nil for SQL NULL; statement errors wrap ErrBadSQL,
+// unknown names ErrUnknownFamily.
 func (c *Client) Query(ctx context.Context, query string) (*Result, error) {
-	start := time.Now()
-	defer noteRequest(metQueryReqs, start)
+	defer c.noteRequest(metQueryReqs, c.now())
 	_, endParse := obs.StartSpan(ctx, "parse")
 	stmt, err := sqlparse.ParseStatement(query)
 	endParse()
@@ -78,27 +83,38 @@ func (c *Client) Query(ctx context.Context, query string) (*Result, error) {
 // the whole ranking, so abandoning it leaks nothing; cancel ctx to stop
 // the scoring itself.
 func (c *Client) QueryStream(ctx context.Context, query string) (<-chan RankUpdate, error) {
-	metQueryStreamReqs.Inc()
+	start := c.now()
+	done := func(*Ranking, *core.CondState, error) { c.noteRequest(metQueryStreamReqs, start) }
+	plan, err := compileStreaming(ctx, query)
+	if err != nil {
+		done(nil, nil, err)
+		return nil, err
+	}
+	return c.rankStream(ctx, planSpec(plan), nil, done)
+}
+
+// compileStreaming compiles a one-shot EXPLAIN statement for QueryStream.
+func compileStreaming(ctx context.Context, query string) (sqlexec.ExplainPlan, error) {
 	_, endParse := obs.StartSpan(ctx, "parse")
 	stmt, err := sqlparse.ParseStatement(query)
 	endParse()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadSQL, err)
+		return sqlexec.ExplainPlan{}, fmt.Errorf("%w: %w", ErrBadSQL, err)
 	}
 	ex, ok := stmt.(*sqlparse.ExplainStmt)
 	if !ok {
-		return nil, fmt.Errorf("%w: only EXPLAIN statements stream", ErrBadSQL)
+		return sqlexec.ExplainPlan{}, fmt.Errorf("%w: only EXPLAIN statements stream", ErrBadSQL)
 	}
 	_, endPlan := obs.StartSpan(ctx, "plan")
 	plan, err := sqlexec.CompileExplain(ex)
 	endPlan()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadSQL, err)
+		return sqlexec.ExplainPlan{}, fmt.Errorf("%w: %w", ErrBadSQL, err)
 	}
 	if plan.Standing() {
-		return nil, fmt.Errorf("%w: standing query (EVERY) cannot stream once; use Watch", ErrBadSQL)
+		return sqlexec.ExplainPlan{}, fmt.Errorf("%w: standing query (EVERY) cannot stream once; use Watch", ErrBadSQL)
 	}
-	return c.explainPlanStream(ctx, plan)
+	return plan, nil
 }
 
 // clientExplainer adapts the client to the executor's Explainer interface,
@@ -107,31 +123,14 @@ func (c *Client) QueryStream(ctx context.Context, query string) (<-chan RankUpda
 type clientExplainer struct{ c *Client }
 
 // ExplainRelation implements sqlexec.Explainer: it runs the plan through
-// the streaming ranking path and materialises the final ranking.
+// the one ranking path and renders the ranking as the EXPLAIN relation.
 func (e clientExplainer) ExplainRelation(ctx context.Context, plan sqlexec.ExplainPlan) (*sqlexec.Relation, error) {
-	ch, err := e.c.explainPlanStream(ctx, plan)
+	ranking, _, err := e.c.rank(ctx, planSpec(plan), nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	var final *Ranking
-	for u := range ch {
-		if u.Err != nil {
-			return nil, u.Err
-		}
-		if u.Final != nil {
-			final = u.Final
-		}
-	}
-	if final == nil {
-		// The terminal event always carries Final or Err; reaching here
-		// means the stream was torn down by cancellation.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("explainit: ranking stream ended without a result")
-	}
 	rel := sqlexec.NewExplainRelation()
-	for _, row := range final.Rows {
+	for _, row := range ranking.Rows {
 		rel.Rows = append(rel.Rows, []sqlexec.Value{
 			sqlexec.Number(float64(row.Rank)),
 			sqlexec.Str(row.Family),
@@ -144,75 +143,20 @@ func (e clientExplainer) ExplainRelation(ctx context.Context, plan sqlexec.Expla
 	return rel, nil
 }
 
-// explainPlanStream starts the streamed ranking for one compiled EXPLAIN
-// plan. A GIVEN clause runs as a one-step Investigation session — the
-// conditioning set resolves and factors through exactly the session
-// machinery an iterative caller uses — while an unconditioned plan streams
-// straight off the engine. Both paths produce rankings bitwise identical
-// to the equivalent blocking Explain call at any worker count.
-func (c *Client) explainPlanStream(ctx context.Context, plan sqlexec.ExplainPlan) (<-chan RankUpdate, error) {
-	// SQL semantics: no LIMIT means the full ranking, so the engine's
-	// default TopK must not silently truncate — bound by the family count,
-	// which every candidate set is a subset of. The engine always runs at
-	// that full TopK regardless of LIMIT (the engine sorts the complete
-	// candidate set before cutting, so the top-k of the full ranking is the
-	// ranking computed at TopK=k); the trim below applies the LIMIT. This
-	// normalisation means the PR-6 ranking cache, whose key includes TopK,
-	// shares one entry across the same EXPLAIN at different LIMITs.
-	topK := c.numFamilies()
-	var src <-chan RankUpdate
-	var inv *Investigation
-	var err error
-	if len(plan.Given) > 0 {
-		inv, err = c.NewInvestigation(plan.Target, InvestigateOptions{
-			Condition:   plan.Given,
-			SearchSpace: plan.Families,
-			TopK:        topK,
-			ExplainFrom: plan.From,
-			ExplainTo:   plan.To,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if src, err = inv.ExplainStream(ctx); err != nil {
-			_ = inv.Close()
-			return nil, err
-		}
-	} else {
-		src, err = c.ExplainStream(ctx, ExplainOptions{
-			Target:      plan.Target,
-			SearchSpace: plan.Families,
-			TopK:        topK,
-			ExplainFrom: plan.From,
-			ExplainTo:   plan.To,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if inv == nil && plan.Limit < 0 {
-		return src, nil
-	}
-	// Post-process: close the ephemeral session when the stream drains, and
-	// honour the degenerate LIMIT 0 (TopK 0 means the engine default, so the
-	// truncation must happen here). The source channel is buffered for the
-	// whole ranking, so this forwarder always terminates; the output keeps
-	// the same capacity so abandoning it leaks nothing either.
-	out := make(chan RankUpdate, cap(src))
-	go func() {
-		defer close(out)
-		for u := range src {
-			if u.Final != nil && plan.Limit >= 0 && len(u.Final.Rows) > plan.Limit {
-				trimmed := *u.Final
-				trimmed.Rows = append([]RankedFamily(nil), u.Final.Rows[:plan.Limit]...)
-				u.Final = &trimmed
-			}
-			out <- u
-		}
-		if inv != nil {
-			_ = inv.Close()
-		}
-	}()
-	return out, nil
+// planSpec declares the ranking a compiled EXPLAIN asks for. GIVEN
+// conditions in clause order, exactly as ExplainOptions.Condition does, so
+// a SQL ranking is the Explain ranking by construction. With SQL semantics
+// the engine ranks at TopK = the registry size instead of its default
+// top-20 (it sorts the complete candidate set before cutting, so the top-k
+// of that ranking is the ranking computed at TopK=k) and LIMIT trims the
+// result. The cache key therefore does not depend on LIMIT: one entry
+// serves the same EXPLAIN at every LIMIT.
+func planSpec(plan sqlexec.ExplainPlan) rankSpec {
+	return rankSpec{ExplainOptions: ExplainOptions{
+		Target:      plan.Target,
+		Condition:   plan.Given,
+		SearchSpace: plan.Families,
+		ExplainFrom: plan.From,
+		ExplainTo:   plan.To,
+	}, sql: true, limit: plan.Limit}
 }
-

@@ -19,10 +19,25 @@ import (
 // disabled, so every request pays a full ranking), and then the engine is
 // pointed at its own telemetry — EXPLAIN explainit_request_latency_ms must
 // rank a cache- or engine-related explainit_* series among the top causes.
+//
+// The request clock is scripted by the path each request took, so the
+// latency series does not depend on how loaded the host is: every reading
+// advances it 1 ms, plus 100 ms per engine ranking that core counted since
+// the previous reading. A cache hit then costs 1 ms and a full ranking
+// 101 ms — and a cache that never hits leaves the latency flat, with
+// nothing to explain.
 func TestSelfRCAEndToEnd(t *testing.T) {
 	c, from, to := seedClient(t)
 	if _, err := c.BuildFamilies("name", from, to, time.Minute); err != nil {
 		t.Fatal(err)
+	}
+	rankings := obs.Default().Counter("explainit_engine_rankings_total")
+	clock, seen := t0, rankings.Value()
+	c.now = func() time.Time {
+		n := rankings.Value()
+		clock = clock.Add(time.Millisecond + time.Duration(n-seen)*100*time.Millisecond)
+		seen = n
+		return clock
 	}
 
 	sc := c.NewSelfScraper()

@@ -116,11 +116,12 @@ func TestSQLScanCacheInvalidatesOnIngest(t *testing.T) {
 
 // TestSQLPlannerMatchesLegacyOnStore runs a differential grid at the
 // facade level: pushdown-planned results must be bitwise identical to the
-// same statements with SQL caches disabled and a fresh catalog.
+// same statements with SQL caches disabled and a fresh catalog. Every query
+// must select rows (the tag column renders as "{host=web-3}").
 func TestSQLPlannerMatchesLegacyOnStore(t *testing.T) {
 	c := planTestClient(t)
 	queries := []string{
-		`SELECT timestamp, tag, value FROM tsdb WHERE metric_name = 'mem_usage' AND tag = 'host=web-3' ORDER BY timestamp`,
+		`SELECT timestamp, tag, value FROM tsdb WHERE metric_name = 'mem_usage' AND tag = '{host=web-3}' ORDER BY timestamp`,
 		`SELECT metric_name, COUNT(*) AS n FROM tsdb GROUP BY metric_name ORDER BY metric_name`,
 		`SELECT DISTINCT tag FROM tsdb WHERE metric_name GLOB 'cpu_*' ORDER BY tag`,
 		`SELECT a.timestamp, a.value, b.value FROM tsdb a JOIN tsdb b ON a.timestamp = b.timestamp AND a.tag = b.tag WHERE a.metric_name = 'cpu_usage' AND b.metric_name = 'mem_usage' ORDER BY a.timestamp, a.value LIMIT 25`,
@@ -130,6 +131,9 @@ func TestSQLPlannerMatchesLegacyOnStore(t *testing.T) {
 		res, err := c.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("query %q selects no rows: comparing two empty results proves nothing", q)
 		}
 		withCache = append(withCache, res)
 	}

@@ -16,7 +16,7 @@ import (
 // cadence and pushes an update only when the answer changes. The watcher
 // is watermark-gated: a tick where neither the store's per-shard ingest
 // sequences nor the family-registry generation moved performs no engine
-// work at all. When it does evaluate, it runs the exact streamed path an
+// work at all. When it does evaluate, it runs the one ranking path an
 // ad-hoc Query takes, so every emitted ranking is bitwise identical to a
 // fresh EXPLAIN at the same watermark (and shares its ranking-cache
 // entry).
@@ -386,37 +386,22 @@ func (b *watchBackend) WatchWatermarks() []uint64 {
 	return append(b.c.db.Watermarks(), b.c.famGeneration())
 }
 
-// Evaluate runs the standing plan through explainPlanStream — the exact
-// path Query/QueryStream take — and materializes the final ranking, so the
-// emitted rows are bitwise identical to a fresh EXPLAIN at the same
-// watermark and share its ranking-cache entry.
+// Evaluate runs the standing plan through the one ranking path — the path
+// Query and QueryStream take for the same statement — so the emitted rows
+// are bitwise identical to a fresh EXPLAIN at the same watermark and share
+// its ranking-cache entry. A tick is internal work: it records no request
+// metric.
 func (b *watchBackend) Evaluate(ctx context.Context, q monitor.Query) ([]monitor.Row, error) {
-	plan := sqlexec.ExplainPlan{
+	final, _, err := b.c.rank(ctx, planSpec(sqlexec.ExplainPlan{
 		Target:   q.Target,
 		Given:    q.Given,
 		Families: q.Families,
 		From:     q.From,
 		To:       q.To,
 		Limit:    q.Limit,
-	}
-	ch, err := b.c.explainPlanStream(ctx, plan)
+	}), nil, nil)
 	if err != nil {
 		return nil, err
-	}
-	var final *Ranking
-	for u := range ch {
-		if u.Err != nil {
-			return nil, u.Err
-		}
-		if u.Final != nil {
-			final = u.Final
-		}
-	}
-	if final == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("explainit: ranking stream ended without a result")
 	}
 	rows := make([]monitor.Row, len(final.Rows))
 	for i, r := range final.Rows {
