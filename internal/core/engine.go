@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,7 +74,7 @@ type Result struct {
 	Features int           // number of metrics in X
 	Score    float64       // dependence score in [0, 1]
 	PValue   float64       // Chebyshev bound on P(score | no dependence)
-	Elapsed  time.Duration // scoring time for this family (Figure 10)
+	Elapsed  time.Duration // scoring time for this family, its share of its panel's (Figure 10)
 	Viz      string        // ASCII sparkline of the family's lead column
 	Err      error         // non-nil when scoring failed
 }
@@ -104,10 +105,11 @@ func (t *ScoreTable) RankOf(family string) int {
 	return 0
 }
 
-// Engine scores hypotheses in parallel. The unit of parallelism is the
-// hypothesis, exactly as in the paper's implementation (§4): one family is
-// small enough for a single worker, so there is no distributed-ML
-// machinery — just a worker pool.
+// Engine scores hypotheses in parallel with one worker pool, as in the
+// paper's implementation (§4): one family is small enough for a single
+// worker, so there is no distributed-ML machinery. The unit a worker takes
+// is the hypothesis, or, for the plain L2 scorer, a panel of equal-width
+// hypotheses that share one residualization and one moment pass.
 type Engine struct {
 	// Scorer defaults to the plain L2 ridge scorer.
 	Scorer Scorer
@@ -333,9 +335,10 @@ func (e *Engine) Rank(req Request) (*ScoreTable, error) {
 }
 
 // RankCtx is Rank with cooperative cancellation and streaming: the context
-// is checked before every candidate and (for context-aware scorers) at
-// every CV fold, and onResult, when non-nil, is invoked once per scored
-// candidate as workers finish — serialized, never concurrently — with the
+// is checked before every job (a panel of candidates, or one candidate)
+// and, inside the L2 scorers and context-aware ones, at every CV fold; and
+// onResult, when non-nil, is invoked once per scored candidate as workers
+// finish — serialized, never concurrently — with the
 // raw unranked Result. A cancelled ranking returns ctx.Err() after its
 // workers have drained; no goroutines outlive the call. The completed
 // table is identical to Rank's at any worker count: results are recorded
@@ -422,31 +425,62 @@ func (e *Engine) RankPrepared(ctx context.Context, req Request, cond *CondState,
 
 	// Conditioning work that only depends on (Y, Z) — the standardized and
 	// factored Z design plus the residualized target — is computed once
-	// here and shared by every worker instead of once per candidate. A
-	// preparation error is deliberately ignored: workers then rebuild the
-	// prep per candidate and surface the identical error on each Result.
+	// here and shared by every worker instead of once per candidate. Panels
+	// report a preparation error on every candidate; the one-candidate path
+	// rebuilds the prep per candidate and surfaces the identical error.
+	var prepErr error
 	if prep == nil && zMat != nil && zMat.Cols > 0 {
 		if l2, ok := effective.(*L2Scorer); ok && l2.condCacheable(req.Target.Matrix, zMat) {
 			_, endPrep := obs.StartSpan(ctx, "gram_cholesky")
-			prep, _ = l2.prepareCond(req.Target.Matrix, zMat)
+			prep, prepErr = l2.prepareCond(req.Target.Matrix, zMat)
 			endPrep()
 		}
 	}
 	metRankings.Inc()
 
-	table := &ScoreTable{}
-	type job struct {
-		idx int
-		fam *Family
+	// The plain L2 scorer over the full range scores candidates as panels
+	// of equal width (panelJobs, panelRun.score); every other scorer, one
+	// candidate at a time (scoreOne).
+	var panels *panelRun
+	if l2, ok := effective.(*L2Scorer); ok && l2.ProjectDim <= 0 && explainRows == nil {
+		panels = &panelRun{l2: l2, y: req.Target, z: zMat, prepErr: prepErr}
+		if prepErr == nil {
+			panels.target = l2.panelTarget(req.Target.Matrix, prep)
+		}
 	}
-	// Buffered to the candidate count so submission never blocks on slow
-	// workers; Skipped is appended only on this producer goroutine, so it
-	// needs no lock.
-	jobs := make(chan job, len(req.Candidates))
-	results := make([]Result, len(req.Candidates))
-	valid := make([]bool, len(req.Candidates))
-	// rankCtx nests the workers' per-candidate spans under one rank_stream
-	// span; it derives from ctx, so cancellation semantics are unchanged.
+
+	// Screen the candidates in order. skipped is written here for the
+	// excluded and misshapen, and by the workers for those holding a
+	// non-finite cell; Skipped is assembled from it in candidate order once
+	// the workers are done.
+	cands := req.Candidates
+	skipped := make([]bool, len(cands))
+	var scorable []int
+	for i, fam := range cands {
+		if excluded[fam.Name] || fam.validateShape() != nil || fam.NumRows() != req.Target.NumRows() {
+			skipped[i] = true
+			continue
+		}
+		scorable = append(scorable, i)
+	}
+	var jobs [][]int
+	if panels != nil {
+		jobs = panelJobs(cands, scorable, workers)
+	} else {
+		for k := range scorable {
+			jobs = append(jobs, scorable[k:k+1])
+		}
+	}
+	queue := make(chan []int, len(jobs))
+	for _, j := range jobs {
+		queue <- j
+	}
+	close(queue)
+
+	results := make([]Result, len(cands))
+	valid := make([]bool, len(cands))
+	// rankCtx nests the workers' spans under one rank_stream span; it
+	// derives from ctx, so cancellation semantics are unchanged.
 	rankCtx, endRankSpan := obs.StartSpan(ctx, "rank_stream")
 	var emitMu sync.Mutex
 	var wg sync.WaitGroup
@@ -456,71 +490,104 @@ func (e *Engine) RankPrepared(ctx context.Context, req Request, cond *CondState,
 			defer wg.Done()
 			// Each worker hoists the Done channel once; per-job checks are
 			// then a channel poll (free for uncancellable contexts) instead
-			// of ctx.Err()'s lock, which the workers would otherwise contend
-			// on twice per candidate.
+			// of ctx.Err()'s lock.
 			poll := ctxpoll.New(ctx, 1)
-			// One scratch per worker: every candidate this goroutine
-			// scores residualizes and cross-validates in the same buffers.
+			// One scratch per worker: every panel or candidate this
+			// goroutine scores works in the same buffers.
 			scratch := new(regress.Scratch)
-			for j := range jobs {
+			var (
+				done []Result
+				skip []bool
+				xs   []*linalg.Matrix
+				out  []regress.PanelScore
+			)
+			for job := range queue {
 				if poll.Cancelled() {
 					return // cancelled: drop remaining jobs, exit promptly
 				}
-				res := e.scoreOne(rankCtx, effective, j.fam, req.Target, zMat, prep, explainRows, scratch)
-				if poll.Cancelled() {
-					return // res may carry ctx.Err(); never record or emit it
+				done = slices.Grow(done[:0], len(job))[:len(job)]
+				skip = slices.Grow(skip[:0], len(job))[:len(job)]
+				if panels != nil {
+					xs, out = panels.score(rankCtx, cands, job, scratch, done, skip, xs, out)
+				} else if fam := cands[job[0]]; finite(fam.Matrix.Data) {
+					done[0], skip[0] = e.scoreOne(rankCtx, effective, fam, req.Target, zMat, prep, explainRows, scratch), false
+				} else {
+					skip[0] = true
 				}
-				results[j.idx] = res
-				valid[j.idx] = true
+				if poll.Cancelled() {
+					return // results may carry ctx.Err(); never record or emit them
+				}
+				for k, idx := range job {
+					if skip[k] {
+						skipped[idx] = true
+					} else {
+						results[idx], valid[idx] = done[k], true
+					}
+				}
 				if onResult != nil {
 					emitMu.Lock()
-					onResult(res)
+					for k := range job {
+						if !skip[k] {
+							onResult(done[k])
+						}
+					}
 					emitMu.Unlock()
 				}
 			}
 		}()
 	}
-	for i, fam := range req.Candidates {
-		if excluded[fam.Name] {
-			table.Skipped = append(table.Skipped, fam.Name)
-			continue
-		}
-		if err := fam.Validate(); err != nil {
-			table.Skipped = append(table.Skipped, fam.Name)
-			continue
-		}
-		if fam.NumRows() != req.Target.NumRows() {
-			table.Skipped = append(table.Skipped, fam.Name)
-			continue
-		}
-		jobs <- job{idx: i, fam: fam}
-	}
-	close(jobs)
 	wg.Wait()
 	endRankSpan()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
+	table := &ScoreTable{}
+	order := make([]int, 0, len(results))
 	for i := range results {
-		if valid[i] {
-			table.Results = append(table.Results, results[i])
+		if skipped[i] {
+			table.Skipped = append(table.Skipped, cands[i].Name)
+		} else if valid[i] {
+			order = append(order, i)
 		}
 	}
-	sort.SliceStable(table.Results, func(a, b int) bool {
-		ra, rb := table.Results[a], table.Results[b]
-		if (ra.Err == nil) != (rb.Err == nil) {
-			return ra.Err == nil
+	// Rank by candidate index, with the index itself as the last key: the
+	// order is total, so the table is exactly what a stable sort of the
+	// results in candidate order gives, at any worker count — and sorting
+	// ints instead of 80-byte Results, unstably, is several times cheaper
+	// on a registry of thousands.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := compareResults(&results[a], &results[b]); c != 0 {
+			return c
 		}
-		if ra.Score != rb.Score {
-			return ra.Score > rb.Score
-		}
-		return ra.Family < rb.Family
+		return a - b
 	})
-	if !e.KeepAll && len(table.Results) > topK {
-		table.Results = table.Results[:topK]
+	if !e.KeepAll && len(order) > topK {
+		order = order[:topK]
+	}
+	table.Results = make([]Result, len(order))
+	for k, i := range order {
+		table.Results[k] = results[i]
 	}
 	return table, nil
+}
+
+// compareResults orders the Score Table: scored before failed, then by
+// decreasing score, then by family name.
+func compareResults(ra, rb *Result) int {
+	if (ra.Err == nil) != (rb.Err == nil) {
+		if ra.Err == nil {
+			return -1
+		}
+		return 1
+	}
+	if ra.Score != rb.Score {
+		if ra.Score > rb.Score {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(ra.Family, rb.Family)
 }
 
 func (e *Engine) scoreOne(ctx context.Context, scorer Scorer, x, y *Family, zMat *linalg.Matrix, prep *condPrep, explainRows []int, scratch *regress.Scratch) Result {
@@ -540,6 +607,19 @@ func (e *Engine) scoreOne(ctx context.Context, scorer Scorer, x, y *Family, zMat
 	endSpan()
 	metCandidates.Inc()
 	metCandidateMs.Observe(float64(res.Elapsed) / float64(time.Millisecond))
+	// Effective predictor count for the p-value: projection caps it.
+	p := x.NumFeatures()
+	if l2, ok := scorer.(*L2Scorer); ok && l2.ProjectDim > 0 && p > l2.ProjectDim {
+		p = l2.ProjectDim
+	}
+	finish(&res, x, y, p, score, err)
+	return res
+}
+
+// finish completes a candidate's Result from its scorer's outcome: the
+// error, or the score clamped to [0, 1] with its p-value over p effective
+// predictors and the viz column.
+func finish(res *Result, x, y *Family, p int, score float64, err error) {
 	if err == nil {
 		// Backstop for third-party Scorers: a non-finite score becomes a
 		// typed degenerate error, so NaN can never enter a score table or
@@ -548,7 +628,7 @@ func (e *Engine) scoreOne(ctx context.Context, scorer Scorer, x, y *Family, zMat
 	}
 	if err != nil {
 		res.Err = err
-		return res
+		return
 	}
 	if score < 0 {
 		score = 0
@@ -557,14 +637,8 @@ func (e *Engine) scoreOne(ctx context.Context, scorer Scorer, x, y *Family, zMat
 		score = 1
 	}
 	res.Score = score
-	// Effective predictor count for the p-value: projection caps it.
-	p := x.NumFeatures()
-	if l2, ok := scorer.(*L2Scorer); ok && l2.ProjectDim > 0 && p > l2.ProjectDim {
-		p = l2.ProjectDim
-	}
 	res.PValue = stats.ChebyshevPValue(score, y.NumRows(), p)
 	res.Viz = x.viz()
-	return res
 }
 
 // Sparkline renders values as a fixed-width ASCII sparkline: the visual aid

@@ -52,8 +52,31 @@ func (f *Family) NumFeatures() int { return f.Matrix.Cols }
 // NumRows returns T, the number of time points.
 func (f *Family) NumRows() int { return f.Matrix.Rows }
 
-// Validate checks internal consistency.
+// Validate checks internal consistency: the shape (validateShape) and that
+// every cell is finite.
 func (f *Family) Validate() error {
+	if err := f.validateShape(); err != nil {
+		return err
+	}
+	if !finite(f.Matrix.Data) {
+		return fmt.Errorf("core: family %q contains non-finite values (interpolate first)", f.Name)
+	}
+	return nil
+}
+
+// finite reports whether no value is NaN or ±Inf.
+func finite(data []float64) bool {
+	for _, v := range data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// validateShape is Validate without the scan of every cell: a matrix, one
+// name per column, one index entry per row.
+func (f *Family) validateShape() error {
 	if f.Matrix == nil {
 		return fmt.Errorf("core: family %q has no data", f.Name)
 	}
@@ -62,11 +85,6 @@ func (f *Family) Validate() error {
 	}
 	if f.Index != nil && len(f.Index) != f.Matrix.Rows {
 		return fmt.Errorf("core: family %q has %d index entries for %d rows", f.Name, len(f.Index), f.Matrix.Rows)
-	}
-	for _, v := range f.Matrix.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: family %q contains non-finite values (interpolate first)", f.Name)
-		}
 	}
 	return nil
 }

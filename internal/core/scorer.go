@@ -8,7 +8,6 @@ import (
 
 	"explainit/internal/ctxpoll"
 	"explainit/internal/linalg"
-	"explainit/internal/obs"
 	"explainit/internal/regress"
 	"explainit/internal/stats"
 )
@@ -202,14 +201,8 @@ func (s *L2Scorer) condCacheable(y, z *linalg.Matrix) bool {
 // residualization and its cross-validation both run in it, so a worker
 // that scores thousands of candidates allocates its buffers once.
 func (s *L2Scorer) score(ctx context.Context, x, y, z *linalg.Matrix, prep *condPrep, explainRows []int, scratch *regress.Scratch) (float64, error) {
-	if x.Rows != y.Rows {
-		return 0, fmt.Errorf("core: %s: X has %d rows, Y has %d", s.Name(), x.Rows, y.Rows)
-	}
-	if z != nil && z.Rows != y.Rows {
-		return 0, fmt.Errorf("core: %s: Z has %d rows, Y has %d", s.Name(), z.Rows, y.Rows)
-	}
-	if x.Cols == 0 || y.Cols == 0 || x.Rows == 0 {
-		return 0, fmt.Errorf("core: %s: empty design: %w", s.Name(), ErrDegenerate)
+	if err := s.checkShapes(x, y, z); err != nil {
+		return 0, err
 	}
 	if z != nil && z.Cols > 0 && prep == nil && s.condCacheable(y, z) {
 		var err error
@@ -248,6 +241,43 @@ func (s *L2Scorer) score(ctx context.Context, x, y, z *linalg.Matrix, prep *cond
 	return checkFinite(s.Name(), total/float64(samples))
 }
 
+// checkShapes is the shape check of every L2 scoring, before any
+// arithmetic.
+func (s *L2Scorer) checkShapes(x, y, z *linalg.Matrix) error {
+	if x.Rows != y.Rows {
+		return fmt.Errorf("core: %s: X has %d rows, Y has %d", s.Name(), x.Rows, y.Rows)
+	}
+	if z != nil && z.Rows != y.Rows {
+		return fmt.Errorf("core: %s: Z has %d rows, Y has %d", s.Name(), z.Rows, y.Rows)
+	}
+	if x.Cols == 0 || y.Cols == 0 || x.Rows == 0 {
+		return fmt.Errorf("core: %s: empty design: %w", s.Name(), ErrDegenerate)
+	}
+	return nil
+}
+
+// panelTarget prepares the target of a panel scoring: y itself, or with a
+// conditioning set the target residualized in prep, whose design the
+// candidates are then residualized against.
+func (s *L2Scorer) panelTarget(y *linalg.Matrix, prep *condPrep) *regress.PanelTarget {
+	if prep == nil {
+		return regress.NewPanelTarget(y, nil, 0, s.grid(), s.folds())
+	}
+	return regress.NewPanelTarget(prep.ry, prep.zDesign, prep.lambda, s.grid(), s.folds())
+}
+
+// panelScore turns one candidate's panel outcome into the scorer's result:
+// a score, or the error — a non-finite cell is a degenerate input.
+func (s *L2Scorer) panelScore(out regress.PanelScore) (float64, error) {
+	if errors.Is(out.Err, regress.ErrNonFiniteCell) {
+		return 0, fmt.Errorf("core: %s: X has a non-finite cell: %w", s.Name(), ErrDegenerate)
+	}
+	if out.Err != nil {
+		return 0, out.Err
+	}
+	return checkFinite(s.Name(), out.Score)
+}
+
 func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *condPrep, explainRows []int, scratch *regress.Scratch) (float64, error) {
 	// Conditional scoring (§3.5, Appendix B): residualise both X and Y on
 	// Z, then score the residual-on-residual regression. A zero score then
@@ -263,6 +293,16 @@ func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *
 				return 0, err
 			}
 		}
+	}
+	if explainRows == nil {
+		// The one-candidate panel: the engine's path, at m = 1.
+		var out [1]regress.PanelScore
+		if err := scratch.ScorePanel(ctx, s.panelTarget(y, prep), []*linalg.Matrix{x}, out[:]); err != nil {
+			return 0, err
+		}
+		return s.panelScore(out[0])
+	}
+	if prep != nil {
 		// rx lives in scratch until the next candidate; prep.ry was
 		// residualized into memory of its own and outlives it.
 		rx, err := prep.zDesign.ResidualizeInto(x, prep.lambda, scratch)
@@ -271,35 +311,29 @@ func (s *L2Scorer) scoreOnce(ctx context.Context, x, y, z *linalg.Matrix, prep *
 		}
 		x, y = rx, prep.ry
 	}
-	if explainRows != nil {
-		// Train on everything, report explained variance on the explain
-		// range only.
-		lambda, err := bestLambda(ctx, x, y, s.grid(), s.folds(), scratch)
-		if err != nil {
-			return 0, err
-		}
-		model, err := regress.FitRidge(x, y, lambda)
-		if err != nil {
-			return 0, err
-		}
-		xe, err := x.SelectRows(explainRows)
-		if err != nil {
-			return 0, err
-		}
-		ye, err := y.SelectRows(explainRows)
-		if err != nil {
-			return 0, err
-		}
-		pred, err := model.Predict(xe)
-		if err != nil {
-			return 0, err
-		}
-		return stats.ExplainedVarianceMean(ye, pred), nil
+	// Train on everything, report explained variance on the explain range
+	// only.
+	lambda, err := bestLambda(ctx, x, y, s.grid(), s.folds(), scratch)
+	if err != nil {
+		return 0, err
 	}
-	_, endCV := obs.StartSpan(ctx, "cv")
-	score, err := scratch.CrossValidatedScore(ctx, x, y, s.grid(), s.folds())
-	endCV()
-	return score, err
+	model, err := regress.FitRidge(x, y, lambda)
+	if err != nil {
+		return 0, err
+	}
+	xe, err := x.SelectRows(explainRows)
+	if err != nil {
+		return 0, err
+	}
+	ye, err := y.SelectRows(explainRows)
+	if err != nil {
+		return 0, err
+	}
+	pred, err := model.Predict(xe)
+	if err != nil {
+		return 0, err
+	}
+	return stats.ExplainedVarianceMean(ye, pred), nil
 }
 
 // residualizeBoth residualizes y then x on the same conditioning set,

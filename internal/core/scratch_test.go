@@ -2,39 +2,58 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"explainit/internal/linalg"
 	"explainit/internal/regress"
 )
 
-// TestScoreAllocBudget pins the per-candidate garbage of the hot path: one
-// conditioned single-series candidate over a 288-point window, scored
-// through L2Scorer.score on a warm worker scratch, may allocate at most a
-// handful of small objects. The copy-per-fold CV this replaced allocated
-// ~270 times (≈100 KB) per candidate; a regression back towards that fails
-// here instead of waiting for a benchmark run.
+// TestScoreAllocBudget pins the per-candidate garbage of the hot path: 64
+// conditioned single-series candidates over a 288-point window, cut into
+// panels and scored the way RankPrepared's workers score them, on a warm
+// worker scratch, may allocate no more than they measure today — nothing
+// at all. Scoring one candidate at a
+// time allocated up to 8 objects per candidate, and the copy-per-fold CV
+// before that ~270 (≈100 KB); a regression back towards either fails here
+// instead of waiting for a benchmark run.
 func TestScoreAllocBudget(t *testing.T) {
-	const n = 288
+	const n, m = 288, 64
 	rng := rand.New(rand.NewSource(12))
 	load := noiseGen(rng, 1)
 	target := synthFamily("y", n, func(i int) float64 { return load(i) + rng.NormFloat64() })
 	z := synthFamily("z", n, load)
-	x := synthFamily("x", n, noiseGen(rng, 1))
+	cands := make([]*Family, m)
+	job := make([]int, m)
+	for i := range cands {
+		cands[i] = synthFamily(fmt.Sprintf("x%d", i), n, noiseGen(rng, 1))
+		job[i] = i
+	}
 	scorer := &L2Scorer{}
 	prep, err := scorer.prepareCond(target.Matrix, z.Matrix)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := &panelRun{l2: scorer, y: target, z: z.Matrix, target: scorer.panelTarget(target.Matrix, prep)}
 	scratch := new(regress.Scratch)
+	done, skip := make([]Result, m), make([]bool, m)
+	var xs []*linalg.Matrix
+	var out []regress.PanelScore
+	jobs := panelJobs(cands, job, 1)
 	score := func() {
-		if _, err := scorer.score(context.Background(), x.Matrix, target.Matrix, z.Matrix, prep, nil, scratch); err != nil {
-			t.Fatal(err)
+		for _, j := range jobs {
+			xs, out = run.score(context.Background(), cands, j, scratch, done, skip, xs, out)
+			for k := range j {
+				if skip[k] || done[k].Err != nil {
+					t.Fatalf("candidate %d: skipped %v, err %v", j[k], skip[k], done[k].Err)
+				}
+			}
 		}
 	}
-	score() // warm the scratch and the design's factor cache
-	if allocs := testing.AllocsPerRun(200, score); allocs > 8 {
-		t.Fatalf("scoring one warm 288x1 candidate allocates %.0f objects, budget is 8", allocs)
+	score() // warm the scratch, the buffers and the design's factor cache
+	if allocs := testing.AllocsPerRun(100, score); allocs > 0 {
+		t.Fatalf("scoring %d warm 288x1 candidates in %d panels allocates %.0f objects, budget is 0", m, len(jobs), allocs)
 	}
 }
 

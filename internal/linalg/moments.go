@@ -138,64 +138,140 @@ func (b *MomentBlock) Merge(parts []*MomentBlock) {
 	mirrorUpper(&b.XX)
 }
 
-// Moments accumulates MomentBlocks over row ranges of one (X, Y) pair.
-type Moments struct {
-	x, y   *Matrix
-	tx, ty Matrix // centred tiles of the block being accumulated
+// TargetBlock is the target's half of the MomentBlocks over one row
+// segment [From, To) of Y: the reference row, the means measured from it,
+// the centred rows, and the per-column scatter. It depends on Y alone, so
+// one TargetBlock serves every candidate X scored against the same target
+// over the same rows — Block pairs it with a candidate without touching Y
+// again. Once Reset it is only read, and is safe to share between
+// goroutines.
+type TargetBlock struct {
+	From, To    int
+	RefY, MeanY []float64
+	// YY is Σ(y − my)² per column as Block's blocked path sums it (one
+	// running sum per column). For a one-column target YY is left empty and
+	// YYDot holds the scatter as the 1 x 1 path's four-accumulator dot
+	// product sums it; the two round differently, so a one-column target
+	// against a wider candidate gets the running sum from Block
+	// (yyRunning), the kernel that shape picks.
+	YY    []float64
+	YYDot float64
+	ty    Matrix // the centred rows, n x q
 }
 
-// Reset points the accumulator at x and y (equal row counts). Buffers are
-// reused across calls.
-func (m *Moments) Reset(x, y *Matrix) {
-	m.x, m.y = x, y
+// Reset summarizes rows [from, to) of y.
+func (t *TargetBlock) Reset(y *Matrix, from, to int) {
+	q, n := y.Cols, max(to-from, 0)
+	t.From, t.To = from, to
+	t.RefY = growFloats(t.RefY, q)
+	t.MeanY = growFloats(t.MeanY, q)
+	clear(t.RefY)
+	clear(t.MeanY)
+	t.YY, t.YYDot = t.YY[:0], 0
+	t.ty.Rows, t.ty.Cols, t.ty.Data = n, q, growFloats(t.ty.Data, n*q)
+	if n == 0 {
+		return
+	}
+	yd := y.Data[from*q : to*q]
+	copy(t.RefY, yd[:q])
+	sumShifted(t.MeanY, yd, t.RefY)
+	inv := 1 / float64(n)
+	for j := range t.MeanY {
+		t.MeanY[j] *= inv
+	}
+	centreInto(t.ty.Data, yd, t.RefY, t.MeanY)
+	if q == 1 {
+		t.YYDot = dot(t.ty.Data, t.ty.Data)
+		return
+	}
+	t.YY = growFloats(t.YY, q)
+	clear(t.YY)
+	yyRunning(t.YY, t.ty.Data)
 }
 
-// Block fills b with the summary of rows [from, to), referenced to the
-// first of them. Two passes over the block: the means, then the scatter of
-// the mean-centred rows — written once into a tile so the register-blocked
-// Gram and cross-product kernels do the O(n·p²) and O(n·p·q) work. Serial
-// by design: blocks are a fold's worth of rows, and callers already run
-// one hypothesis per core.
-func (m *Moments) Block(from, to int, b *MomentBlock) {
-	p, q, n := m.x.Cols, m.y.Cols, to-from
+// yyRunning adds the per-column sums of squares of the row-major rows data
+// to yy, one running sum per column.
+func yyRunning(yy, data []float64) {
+	for j, i := 0, 0; i < len(data); i++ {
+		yy[j] += data[i] * data[i]
+		if j++; j == len(yy) {
+			j = 0
+		}
+	}
+}
+
+// Block fills b with the summary of x's rows [t.From, t.To) paired with
+// the target t summarizes, referenced to the first of those rows. Two
+// passes over x's block: the means, then the scatter of the mean-centred
+// rows — written once into the tile tx so the register-blocked Gram and
+// cross-product kernels do the O(n·p²) and O(n·p·q) work. Serial by design:
+// blocks are a fold's worth of rows, and callers already run one scoring
+// worker per core.
+func (t *TargetBlock) Block(x *Matrix, b *MomentBlock, tx *Matrix) {
+	p, q, n := x.Cols, len(t.RefY), t.To-t.From
 	b.reset(p, q)
 	if n <= 0 {
 		return
 	}
 	b.N = n
-	xd, yd := m.x.Data[from*p:to*p], m.y.Data[from*q:to*q]
+	xd := x.Data[t.From*p : t.To*p]
 	copy(b.RefX, xd[:p])
-	copy(b.RefY, yd[:q])
+	copy(b.RefY, t.RefY)
+	copy(b.MeanY, t.MeanY)
 	sumShifted(b.MeanX, xd, b.RefX)
-	sumShifted(b.MeanY, yd, b.RefY)
 	inv := 1 / float64(n)
 	for j := range b.MeanX {
 		b.MeanX[j] *= inv
 	}
-	for j := range b.MeanY {
-		b.MeanY[j] *= inv
-	}
-	tx, ty := m.tx.Resize(n, p), m.ty.Resize(n, q)
-	centreInto(tx.Data, xd, b.RefX, b.MeanX)
-	centreInto(ty.Data, yd, b.RefY, b.MeanY)
+	tile := tx.Resize(n, p)
+	centreInto(tile.Data, xd, b.RefX, b.MeanX)
 	if p == 1 && q == 1 {
 		// One series against one series — the bulk of any candidate set —
 		// is three dot products; the blocked kernels' per-tile set-up
 		// would outweigh the arithmetic.
-		b.XX.Data[0] = dot(tx.Data, tx.Data)
-		b.XY.Data[0] = dot(tx.Data, ty.Data)
-		b.YY[0] = dot(ty.Data, ty.Data)
+		b.XX.Data[0] = dot(tile.Data, tile.Data)
+		b.XY.Data[0] = dot(tile.Data, t.ty.Data)
+		b.YY[0] = t.YYDot
 		return
 	}
-	for j, i := 0, 0; i < len(ty.Data); i++ {
-		b.YY[j] += ty.Data[i] * ty.Data[i]
-		if j++; j == q {
-			j = 0
-		}
+	if q == 1 {
+		yyRunning(b.YY, t.ty.Data)
+	} else {
+		copy(b.YY, t.YY)
 	}
-	gramRange(tx, &b.XX, 0, p)
+	gramRange(tile, &b.XX, 0, p)
 	mirrorUpper(&b.XX)
-	mulTRange(tx, ty, &b.XY, 0, p)
+	mulTRange(tile, &t.ty, &b.XY, 0, p)
+}
+
+// Lane is Block for a one-column candidate given as its column x (every
+// row of it, not just the segment's): it returns the candidate's reference
+// value, mean and scatter over the segment and writes its cross-scatter
+// with each target column into xy (length q), by the very kernels Block
+// runs at p = 1 — so the values are Block's, bit for bit, without a
+// MomentBlock to carve. tile is work space of at least To − From values.
+func (t *TargetBlock) Lane(x, tile, xy []float64) (ref, mean, xx float64) {
+	n := t.To - t.From
+	xd := x[t.From:t.To]
+	ref = xd[0]
+	for _, v := range xd {
+		mean += v - ref
+	}
+	mean *= 1 / float64(n)
+	tile = tile[:n]
+	for i, v := range xd {
+		tile[i] = (v - ref) - mean
+	}
+	if len(xy) == 1 {
+		xy[0] = dot(tile, t.ty.Data)
+		return ref, mean, dot(tile, tile)
+	}
+	tx := Matrix{Rows: n, Cols: 1, Data: tile}
+	gram := Matrix{Rows: 1, Cols: 1, Data: []float64{0}}
+	gramRange(&tx, &gram, 0, 1)
+	clear(xy)
+	mulTRange(&tx, &t.ty, &Matrix{Rows: 1, Cols: len(xy), Data: xy}, 0, 1)
+	return ref, mean, gram.Data[0]
 }
 
 // sumShifted adds, per column, the entries of the row-major block data

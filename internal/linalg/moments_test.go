@@ -74,6 +74,13 @@ func rowRange(from, to int) []int {
 	return rows
 }
 
+// momentBlock fills b with the summary of rows [from, to) of the pair (x, y).
+func momentBlock(x, y *Matrix, from, to int, b *MomentBlock) {
+	var t TargetBlock
+	t.Reset(y, from, to)
+	t.Block(x, b, new(Matrix))
+}
+
 // TestMomentBlocksMatchNaive: every block of a row partition, and the
 // merge of any subset of blocks, equals the naive loop over those rows —
 // at the single-column shape (dot-product path) and at blocked-kernel shapes
@@ -87,11 +94,9 @@ func TestMomentBlocksMatchNaive(t *testing.T) {
 			x.Data[i] += 40 // off-centre, so the reference shift has work to do
 		}
 		cuts := []int{0, shape.n / 5, shape.n / 2, shape.n/2 + 3, shape.n}
-		var m Moments
-		m.Reset(x, y)
 		blocks := make([]MomentBlock, len(cuts)-1)
 		for i := range blocks {
-			m.Block(cuts[i], cuts[i+1], &blocks[i])
+			momentBlock(x, y, cuts[i], cuts[i+1], &blocks[i])
 			checkBlock(t, "block", &blocks[i], x, y, rowRange(cuts[i], cuts[i+1]))
 		}
 		// Leave one block out, as a fold's training set does.
@@ -115,13 +120,14 @@ func TestMomentBlocksMatchNaive(t *testing.T) {
 // carry nothing over from their previous use.
 func TestMomentBlockReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	var m Moments
+	var tb TargetBlock
 	var b MomentBlock
+	var tile Matrix
 	for _, shape := range []struct{ n, p, q int }{{40, 6, 2}, {20, 1, 1}, {64, 9, 4}} {
 		x := GaussianMatrix(rng, shape.n, shape.p)
 		y := GaussianMatrix(rng, shape.n, shape.q)
-		m.Reset(x, y)
-		m.Block(3, shape.n-2, &b)
+		tb.Reset(y, 3, shape.n-2)
+		tb.Block(x, &b, &tile)
 		checkBlock(t, "reused", &b, x, y, rowRange(3, shape.n-2))
 	}
 }
@@ -141,13 +147,10 @@ func TestMomentBlockSingleSeriesPath(t *testing.T) {
 			x.Data[i] += 40
 			y2.Data[2*i], y2.Data[2*i+1] = y.Data[i], -y.Data[i]
 		}
-		var m Moments
 		var fast, generic MomentBlock
-		m.Reset(x, y)
-		m.Block(0, n, &fast)
+		momentBlock(x, y, 0, n, &fast)
 		checkBlock(t, "1x1", &fast, x, y, rowRange(0, n))
-		m.Reset(x, y2)
-		m.Block(0, n, &generic)
+		momentBlock(x, y2, 0, n, &generic)
 		const tol = 1e-10
 		for name, d := range map[string]float64{
 			"mean x": fast.MeanX[0] - generic.MeanX[0],
@@ -177,11 +180,9 @@ func TestMomentBlockLocalReference(t *testing.T) {
 			x.Set(i, 1, 1e12*(1+rng.Float64()))
 		}
 	}
-	var m Moments
-	m.Reset(x, y)
 	blocks := make([]MomentBlock, 3)
 	for i := range blocks {
-		m.Block(30*i, 30*(i+1), &blocks[i])
+		momentBlock(x, y, 30*i, 30*(i+1), &blocks[i])
 	}
 	var flat MomentBlock
 	flat.Merge([]*MomentBlock{&blocks[0], &blocks[2]})
@@ -193,5 +194,37 @@ func TestMomentBlockLocalReference(t *testing.T) {
 	}
 	if d := blocks[1].MeanXFrom(&flat, 1); d < 1e12 || d > 2e12 {
 		t.Fatalf("burst block sits %g above the flat rows, want within [1e12, 2e12]", d)
+	}
+}
+
+// TestTargetBlockLaneMatchesBlock: Lane is Block at p = 1 without the
+// MomentBlock — reference, mean, scatter and cross-scatter bit for bit, for
+// one- and multi-column targets (the dot and the blocked kernels), over
+// segment lengths that walk every four-row remainder.
+func TestTargetBlockLaneMatchesBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, q := range []int{1, 3} {
+		for n := 1; n <= 40; n++ {
+			const from = 5
+			x, y := GaussianMatrix(rng, from+n+3, 1), GaussianMatrix(rng, from+n+3, q)
+			for i := range x.Data {
+				x.Data[i] = 40 + x.Data[i]*float64(i%3) // off-centre, with zero runs
+			}
+			var tb TargetBlock
+			var b MomentBlock
+			tb.Reset(y, from, from+n)
+			tb.Block(x, &b, new(Matrix))
+			xy := make([]float64, q)
+			ref, mean, xx := tb.Lane(x.Data, make([]float64, n), xy)
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if !same(ref, b.RefX[0]) || !same(mean, b.MeanX[0]) || !same(xx, b.XX.Data[0]) {
+				t.Fatalf("q=%d n=%d: lane (%v, %v, %v), block (%v, %v, %v)", q, n, ref, mean, xx, b.RefX[0], b.MeanX[0], b.XX.Data[0])
+			}
+			for c := range xy {
+				if !same(xy[c], b.XY.Data[c]) {
+					t.Fatalf("q=%d n=%d: lane xy[%d] = %v, block %v", q, n, c, xy[c], b.XY.Data[c])
+				}
+			}
+		}
 	}
 }

@@ -210,13 +210,14 @@ type Scratch struct {
 	centred, solved, coef, resid linalg.Matrix
 	yMeans                       []float64
 
-	// Cross-validation: fold bookkeeping, the per-segment moment blocks of
-	// the candidate, and the p x p working set of one fold's λ sweep.
+	// Cross-validation: fold bookkeeping, the target's and the candidate's
+	// per-segment moments, and the p x p working set of one fold's λ sweep.
 	folds      []FoldRange
 	totals     []float64
 	used       []int
 	cuts       []int
-	moments    linalg.Moments
+	tsegs      []linalg.TargetBlock
+	tile       linalg.Matrix
 	segs       []linalg.MomentBlock
 	parts      []*linalg.MomentBlock
 	train, val linalg.MomentBlock
@@ -226,6 +227,16 @@ type Scratch struct {
 	chol       linalg.Matrix
 	beta       linalg.Matrix // coefficients in raw (unstandardized) units
 	vbeta      linalg.Matrix // validation scatter times beta
+
+	// ScorePanel: the gathered panel, one candidate's residual copied out
+	// of it, and the width-1 lanes — their columns and, per segment and
+	// lane, the reference, mean, scatter and cross-scatter with the target.
+	panel, cand         linalg.Matrix
+	lanes               []int
+	cols                [][]float64
+	laneTile            []float64
+	refX, meanX, xx, xy []float64
+	xyTrain, rhsLane    []float64
 }
 
 // CrossValidateRidge is the ridge CV path of every scorer: fold-moment
@@ -320,10 +331,24 @@ func (s *Scratch) sweepFolds(ctx context.Context, x, y *linalg.Matrix, grid []fl
 	s.used = growZeroed(s.used, len(grid))
 	poll := ctxpoll.New(ctx, 1)
 	if primal {
-		if err := s.segmentMoments(&poll, x, y, folds); err != nil {
+		s.cutSegments(n, folds)
+		for len(s.tsegs) < len(s.cuts)-1 {
+			s.tsegs = append(s.tsegs, linalg.TargetBlock{})
+		}
+		for i := 0; i+1 < len(s.cuts); i++ {
+			s.tsegs[i].Reset(y, s.cuts[i], s.cuts[i+1])
+		}
+		if err := s.segmentMoments(&poll, x, s.tsegs); err != nil {
 			return err
 		}
 	}
+	return s.foldLoop(&poll, x, y, grid, folds)
+}
+
+// foldLoop scores every fold once the segment moments are in s (when any
+// fold is primal), adding each fold's per-λ held-out score to s.totals.
+func (s *Scratch) foldLoop(poll *ctxpoll.Poll, x, y *linalg.Matrix, grid []float64, folds []FoldRange) error {
+	n, p := x.Rows, x.Cols
 	for _, f := range folds {
 		if err := poll.Check(); err != nil {
 			return err
@@ -351,27 +376,30 @@ func growZeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// segmentMoments cuts the rows at every fold boundary and summarizes each
-// resulting segment as one moment block. Time-series folds partition the
-// rows, so the segments are the folds themselves; arbitrary caller ranges
-// (gaps, overlaps) still decompose, because every fold and every fold's
-// complement is a union of segments.
-func (s *Scratch) segmentMoments(poll *ctxpoll.Poll, x, y *linalg.Matrix, folds []FoldRange) error {
-	cuts := append(s.cuts[:0], 0, x.Rows)
+// cutSegments cuts n rows at every fold boundary into s.cuts. Time-series
+// folds partition the rows, so the segments are the folds themselves;
+// arbitrary caller ranges (gaps, overlaps) still decompose, because every
+// fold and every fold's complement is a union of segments.
+func (s *Scratch) cutSegments(n int, folds []FoldRange) {
+	cuts := append(s.cuts[:0], 0, n)
 	for _, f := range folds {
 		cuts = append(cuts, f.From, f.To)
 	}
 	sort.Ints(cuts)
 	s.cuts = slices.Compact(cuts)
+}
+
+// segmentMoments summarizes each segment of x between s.cuts as one moment
+// block, pairing it with the target's half of that segment from tsegs.
+func (s *Scratch) segmentMoments(poll *ctxpoll.Poll, x *linalg.Matrix, tsegs []linalg.TargetBlock) error {
 	for len(s.segs) < len(s.cuts)-1 {
 		s.segs = append(s.segs, linalg.MomentBlock{})
 	}
-	s.moments.Reset(x, y)
 	for i := 0; i+1 < len(s.cuts); i++ {
 		if err := poll.Check(); err != nil {
 			return err
 		}
-		s.moments.Block(s.cuts[i], s.cuts[i+1], &s.segs[i])
+		tsegs[i].Block(x, &s.segs[i], &s.tile)
 	}
 	return nil
 }
@@ -530,10 +558,12 @@ func excludeRows(m *linalg.Matrix, from, to int) *linalg.Matrix {
 	return out
 }
 
-// CrossValidatedScore is the one-call entry the scorers use: k-fold
-// time-series CV of ridge regression of y on x over the default grid,
-// returning the out-of-sample explained variance in [0, 1]. If there are
-// too few rows for k folds it falls back to an in-sample adjusted r^2.
+// CrossValidatedScore is k-fold time-series CV of ridge regression of y on
+// x over the grid (nil: the default grid), returning the out-of-sample
+// explained variance in [0, 1]. If there are too few rows for k folds it
+// falls back to an in-sample adjusted r^2. The scorers run the same CV
+// through ScorePanel, which returns this score, bit for bit, for every
+// candidate of a panel.
 func CrossValidatedScore(x, y *linalg.Matrix, grid []float64, k int) (float64, error) {
 	return CrossValidatedScoreCtx(context.Background(), x, y, grid, k)
 }
@@ -559,21 +589,7 @@ func (s *Scratch) CrossValidatedScore(ctx context.Context, x, y *linalg.Matrix, 
 	}
 	folds, err := appendFoldRanges(s.folds[:0], x.Rows, k)
 	if err != nil {
-		// Too little data for CV: fit once and adjust for predictors.
-		model, ferr := FitRidge(x, y, grid[len(grid)/2])
-		if ferr != nil {
-			return 0, ferr
-		}
-		pred, ferr := model.Predict(x)
-		if ferr != nil {
-			return 0, ferr
-		}
-		raw := stats.ExplainedVarianceMean(y, pred)
-		adj := stats.AdjustedRSquared(raw, x.Rows, x.Cols)
-		if adj < 0 {
-			adj = 0
-		}
-		return adj, nil
+		return inSampleScore(x, y, grid[len(grid)/2])
 	}
 	s.folds = folds
 	if err := s.sweepFolds(ctx, x, y, grid, folds); err != nil {
@@ -581,4 +597,23 @@ func (s *Scratch) CrossValidatedScore(ctx context.Context, x, y *linalg.Matrix, 
 	}
 	_, score := s.selectLambda(grid, nil)
 	return score, nil
+}
+
+// inSampleScore is the score when there are too few rows for CV: fit once
+// at lambda and adjust the in-sample explained variance for predictors.
+func inSampleScore(x, y *linalg.Matrix, lambda float64) (float64, error) {
+	model, err := FitRidge(x, y, lambda)
+	if err != nil {
+		return 0, err
+	}
+	pred, err := model.Predict(x)
+	if err != nil {
+		return 0, err
+	}
+	raw := stats.ExplainedVarianceMean(y, pred)
+	adj := stats.AdjustedRSquared(raw, x.Rows, x.Cols)
+	if adj < 0 {
+		adj = 0
+	}
+	return adj, nil
 }

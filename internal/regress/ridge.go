@@ -484,7 +484,8 @@ func (d *RidgeDesign) ResidualizeInto(y *linalg.Matrix, lambda float64, s *Scrat
 	if err != nil {
 		return nil, err
 	}
-	pred := &s.solved
+	// The centred copy of y is spent: the prediction overwrites it.
+	pred := &s.centred
 	if err := d.xs.MulInto(&s.coef, pred); err != nil {
 		return nil, err
 	}

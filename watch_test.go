@@ -312,7 +312,7 @@ func TestWatchOnAnomaly(t *testing.T) {
 	if u.AnomalyFrom.IsZero() || !u.AnomalyTo.After(u.AnomalyFrom) || u.AnomalySeverity <= 3 {
 		t.Fatalf("anomaly window missing from update: %+v", u)
 	}
-	if u.AnomalyFrom.Before(t0.Add(time.Duration(n-30)*time.Minute)) {
+	if u.AnomalyFrom.Before(t0.Add(time.Duration(n-30) * time.Minute)) {
 		t.Fatalf("window %v..%v does not cover the incident", u.AnomalyFrom, u.AnomalyTo)
 	}
 	if u.Investigation == "" {
