@@ -208,17 +208,13 @@ func (c *Client) BuildFamilies(groupBy string, from, to time.Time, step time.Dur
 		return nil, fmt.Errorf("%w %q (use \"name\" or \"tag:<key>\")", ErrUnknownGrouping, groupBy)
 	}
 	start := time.Now()
-	series, err := c.db.Run(tsdb.Query{Range: ts.TimeRange{From: from, To: to}})
-	if err != nil {
-		return nil, err
-	}
-	fams, err := core.BuildFamilies(series, gf, ts.TimeRange{From: from, To: to}, step)
+	fams, series, err := core.BuildFamiliesFromStore(c.db, gf, ts.TimeRange{From: from, To: to}, step)
 	if err != nil {
 		return nil, err
 	}
 	infos := c.registerFamilies(fams, true)
 	metBuildFamiliesMs.ObserveSince(start)
-	metBuildSeries.Add(uint64(len(series)))
+	metBuildSeries.Add(uint64(series))
 	metBuildFamilies.Add(uint64(len(fams)))
 	return infos, nil
 }

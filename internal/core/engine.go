@@ -644,49 +644,61 @@ func finish(res *Result, x, y *Family, p int, score float64, err error) {
 // Sparkline renders values as a fixed-width ASCII sparkline: the visual aid
 // stored in the Score Table's viz column (Figure 4, §D).
 func Sparkline(values []float64, width int) string {
-	if len(values) == 0 || width <= 0 {
+	return sparkline(values, len(values), 1, width)
+}
+
+// sparkLevels are the sparkline's eight glyphs, three UTF-8 bytes each.
+const sparkLevels = "▁▂▃▄▅▆▇█"
+
+// sparkline renders the n values data[0], data[stride], ... — a column of
+// a row-major matrix, read in place — averaged down to at most width
+// buckets, each drawn at its level between the buckets' min and max. Up to
+// vizWidth buckets the result is its only allocation.
+func sparkline(data []float64, n, stride, width int) string {
+	if n == 0 || width <= 0 {
 		return ""
 	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	// Downsample to width buckets by averaging.
-	buckets := make([]float64, 0, width)
-	if len(values) <= width {
-		buckets = values
+	var stack [vizWidth]float64
+	buckets := stack[:0]
+	if min(n, width) > len(stack) {
+		buckets = make([]float64, 0, min(n, width))
+	}
+	if n <= width {
+		for i := 0; i < n; i++ {
+			buckets = append(buckets, data[i*stride])
+		}
 	} else {
-		per := float64(len(values)) / float64(width)
+		per := float64(n) / float64(width)
 		for b := 0; b < width; b++ {
 			lo := int(float64(b) * per)
-			hi := int(float64(b+1) * per)
-			if hi > len(values) {
-				hi = len(values)
-			}
+			hi := min(int(float64(b+1)*per), n)
 			if lo >= hi {
 				lo = hi - 1
 			}
 			var s float64
-			for _, v := range values[lo:hi] {
-				s += v
+			for i := lo; i < hi; i++ {
+				s += data[i*stride]
 			}
 			buckets = append(buckets, s/float64(hi-lo))
 		}
 	}
-	min, max := buckets[0], buckets[0]
+	bottom, top := buckets[0], buckets[0]
 	for _, v := range buckets {
-		if v < min {
-			min = v
+		if v < bottom {
+			bottom = v
 		}
-		if v > max {
-			max = v
+		if v > top {
+			top = v
 		}
 	}
-	out := make([]rune, len(buckets))
-	for i, v := range buckets {
-		if max == min {
-			out[i] = levels[0]
-			continue
+	var out strings.Builder
+	out.Grow(len(buckets) * 3)
+	for _, v := range buckets {
+		idx := 0
+		if top != bottom {
+			idx = int((v - bottom) / (top - bottom) * 7)
 		}
-		idx := int((v - min) / (max - min) * float64(len(levels)-1))
-		out[i] = levels[idx]
+		out.WriteString(sparkLevels[idx*3 : idx*3+3])
 	}
-	return string(out)
+	return out.String()
 }

@@ -10,13 +10,16 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"explainit/internal/linalg"
 	"explainit/internal/sqlexec"
 	ts "explainit/internal/timeseries"
+	"explainit/internal/tsdb"
 )
 
 // Family is a named group of aligned univariate metrics: a T x F dense block
@@ -40,9 +43,10 @@ type Family struct {
 // vizWidth is the width of the Score Table's sparkline column.
 const vizWidth = 32
 
-// viz returns the sparkline of the family's lead column, rendered once.
+// viz returns the sparkline of the family's lead column, rendered once and
+// read in place: the matrix is row-major, so column 0 is every Cols-th cell.
 func (f *Family) viz() string {
-	f.vizOnce.Do(func() { f.sparkline = Sparkline(f.Matrix.Col(0), vizWidth) })
+	f.vizOnce.Do(func() { f.sparkline = sparkline(f.Matrix.Data, f.Matrix.Rows, f.Matrix.Cols, vizWidth) })
 	return f.sparkline
 }
 
@@ -90,7 +94,9 @@ func (f *Family) validateShape() error {
 }
 
 // GroupFunc assigns a series to a family name. Returning "" drops the
-// series from the grouping.
+// series from the grouping. A store build (BuildFamiliesFromStore) runs it
+// under a shard's read lock, concurrently for different shards: it must not
+// retain or modify the series, nor call into the store.
 type GroupFunc func(*ts.Series) string
 
 // GroupByMetricName groups series by their metric name — the default
@@ -111,64 +117,148 @@ func GroupByTag(key string) GroupFunc {
 }
 
 // BuildFamilies aligns series onto a regular grid over r at the given step,
-// interpolates gaps, and groups columns into families using groupBy.
-// Families are returned sorted by name for determinism; all of them share
-// one grid (see Family.Index).
+// interpolates gaps, and groups columns into families using groupBy; within
+// a family the columns keep the order of series. Families are returned
+// sorted by name for determinism; all of them share one grid (see
+// Family.Index).
 func BuildFamilies(series []*ts.Series, groupBy GroupFunc, r ts.TimeRange, step time.Duration) ([]*Family, error) {
-	names, groups := groupSeries(series, groupBy)
-	families := make([]*Family, 0, len(names))
-	if len(names) == 0 {
-		return families, nil
-	}
-	grid, err := ts.NewGrid(r, step)
-	if err != nil {
-		return nil, fmt.Errorf("core: aligning family %q: %w", names[0], err)
-	}
-	for _, name := range names {
-		if fam := materialise(grid, name, groups[name]); fam != nil {
-			families = append(families, fam)
+	fams, _, err := buildFamilies(1, func(visit visitFunc) int {
+		for _, s := range series {
+			visit(0, "", s, s.Samples)
 		}
-	}
-	return families, nil
+		return len(series)
+	}, groupBy, r, step)
+	return fams, err
 }
 
-// groupSeries buckets series by family name in arrival order, dropping
-// those groupBy maps to "", and returns the names sorted.
-func groupSeries(series []*ts.Series, groupBy GroupFunc) ([]string, map[string][]*ts.Series) {
-	groups := make(map[string][]*ts.Series)
-	var names []string
-	for _, s := range series {
-		g := groupBy(s)
-		if g == "" {
-			continue
-		}
-		if _, ok := groups[g]; !ok {
-			names = append(names, g)
-		}
-		groups[g] = append(groups[g], s)
-	}
-	sort.Strings(names)
-	return names, groups
+// BuildFamiliesFromStore is BuildFamilies over every series of db with a
+// sample in r, read in place (tsdb.DB.Visit): each shard's series are
+// averaged onto the grid under that shard's read lock, with no copy of the
+// store's samples. The families are bitwise those of BuildFamilies over
+// db.Run's result for r, at any shard count. It also returns the number of
+// series read.
+func BuildFamiliesFromStore(db *tsdb.DB, groupBy GroupFunc, r ts.TimeRange, step time.Duration) ([]*Family, int, error) {
+	return buildFamilies(db.NumShards(), func(visit visitFunc) int { return db.Visit(r, visit) }, groupBy, r, step)
 }
 
-// materialise builds one family from its series on the build's shared grid:
-// the samples are averaged straight into the family's matrix, all-missing
-// columns dropped and gaps filled in place. It returns nil when no series
-// has an observation in range.
-func materialise(grid *ts.Grid, name string, series []*ts.Series) *Family {
-	data, keep := grid.Dense(series)
-	if len(keep) == 0 {
-		return nil
+// visitFunc receives one series of a build: the source part (goroutine)
+// handing it over, its ID ("" to render it), the series and the samples to
+// average (any order; the grid range-checks each).
+type visitFunc func(part int, id string, s *ts.Series, in []ts.Sample)
+
+// buildFamilies is the one family builder. visitAll hands every series to
+// its visitFunc, concurrently across parts and serially within one, and
+// returns how many it handed over; the source's order is each part's own
+// order, merged across parts by ID.
+//
+// Phase 1, inside the visit (for a store, under the shard's lock): groupBy
+// names the series' family and the grid averages the series onto a column
+// of its own, with scratch per part. Columns with no observation are
+// dropped on the spot. Phase 2: the columns are put in the source's order,
+// grouped by family (sorted by name, columns in source order), gap-filled
+// and laid out T x F; a single column is its family's matrix, uncopied.
+func buildFamilies(parts int, visitAll func(visitFunc) int, groupBy GroupFunc, r ts.TimeRange, step time.Duration) ([]*Family, int, error) {
+	grid, gridErr := ts.NewGrid(r, step)
+	ps := make([]familyPart, parts)
+	n := visitAll(func(part int, id string, s *ts.Series, in []ts.Sample) {
+		ps[part].add(grid, id, groupBy(s), s, in)
+	})
+	lists := make([][]column, parts)
+	for i := range ps {
+		lists[i] = ps[i].cols
 	}
-	cols := make([]string, len(keep))
-	for nj, j := range keep {
-		cols[nj] = series[j].ID()
+	cols := tsdb.MergeByID(lists, func(c column) string { return c.id })
+	if gridErr != nil {
+		if len(cols) == 0 {
+			return []*Family{}, n, nil
+		}
+		first := cols[0].family
+		for _, c := range cols {
+			first = min(first, c.family)
+		}
+		return nil, n, fmt.Errorf("core: aligning family %q: %w", first, gridErr)
+	}
+	for k := range cols {
+		cols[k].seq = k
+	}
+	slices.SortFunc(cols, func(a, b column) int {
+		if c := strings.Compare(a.family, b.family); c != 0 {
+			return c
+		}
+		return a.seq - b.seq
+	})
+	families := make([]*Family, 0)
+	for lo := 0; lo < len(cols); {
+		hi := lo + 1
+		for hi < len(cols) && cols[hi].family == cols[lo].family {
+			hi++
+		}
+		families = append(families, newFamily(grid, cols[lo].family, cols[lo:hi]))
+		lo = hi
+	}
+	return families, n, nil
+}
+
+// column is one series averaged onto the build's grid.
+type column struct {
+	id, family string
+	data       []float64 // Rows() cells; nil when the build has no grid
+	seq        int       // position in the source's order
+}
+
+// familyPart is one part's phase-1 state: its grid scratch and the columns
+// it kept, in the part's order.
+type familyPart struct {
+	grid *ts.Grid
+	cols []column
+}
+
+// add averages one series into a column of the family named family ("":
+// dropped). Without a grid only the family name is kept, for the error.
+func (p *familyPart) add(grid *ts.Grid, id, family string, s *ts.Series, in []ts.Sample) {
+	switch {
+	case family == "":
+		return
+	case grid == nil:
+		p.cols = append(p.cols, column{family: family})
+		return
+	case p.grid == nil:
+		p.grid = grid.Fork()
+	}
+	data := make([]float64, grid.Rows())
+	if !p.grid.Average(data, 1, 0, in) {
+		return
+	}
+	if id == "" {
+		id = s.ID()
+	}
+	p.cols = append(p.cols, column{id: id, family: family, data: data})
+}
+
+// newFamily lays one family out from its columns, in order: each column's
+// gaps are filled with the nearest observation and the columns interleaved
+// row-major T x F. A single column is the matrix itself, not a copy.
+func newFamily(grid *ts.Grid, name string, cols []column) *Family {
+	rows, k := grid.Rows(), len(cols)
+	names := make([]string, k)
+	data := cols[0].data
+	if k > 1 {
+		data = make([]float64, rows*k)
+	}
+	for j, c := range cols {
+		names[j] = c.id
+		grid.Fill(c.data, 1, 0)
+		if k > 1 {
+			for i, v := range c.data {
+				data[i*k+j] = v
+			}
+		}
 	}
 	return &Family{
 		Name:    name,
-		Columns: cols,
+		Columns: names,
 		Index:   grid.Index,
-		Matrix:  &linalg.Matrix{Rows: grid.Rows(), Cols: len(keep), Data: data},
+		Matrix:  &linalg.Matrix{Rows: rows, Cols: k, Data: data},
 	}
 }
 
@@ -210,13 +300,18 @@ func FamiliesFromRelation(rel *sqlexec.Relation, timeCol, keyCol string, r ts.Ti
 	if err != nil {
 		return nil, err
 	}
+	var p familyPart
 	for _, name := range famNames {
 		display := name
 		if display == "" {
 			display = "*"
 		}
-		if fam := materialise(grid, display, groups[name]); fam != nil {
-			families = append(families, fam)
+		p.cols = p.cols[:0]
+		for _, s := range groups[name] {
+			p.add(grid, "", display, s, s.Samples)
+		}
+		if len(p.cols) > 0 {
+			families = append(families, newFamily(grid, display, p.cols))
 		}
 	}
 	return families, nil

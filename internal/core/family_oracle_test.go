@@ -5,20 +5,24 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"explainit/internal/sqlexec"
 	ts "explainit/internal/timeseries"
+	"explainit/internal/tsdb"
 )
 
 // The differential oracle for family materialisation: the per-family
 // Align -> DropAllNaNColumns -> Interpolate -> Matrix pipeline the one-pass
 // build replaced, kept as it was (grid by repeated time.Time addition,
 // bucketing by time.Time subtraction, a NaN-initialised frame, a copy to
-// drop columns, a fresh observation list per column, a final copy). BuildFamilies and
-// FamiliesFromRelation must reproduce it bit for bit on every input without
-// monotonic clock readings.
+// drop columns, a fresh observation list per column, a final copy), except
+// that each sample's membership of the half-open range is checked
+// explicitly, so the oracle holds for unsorted series too. BuildFamilies,
+// BuildFamiliesFromStore and FamiliesFromRelation must reproduce it bit for
+// bit on every input without monotonic clock readings.
 
 func oracleTimeGrid(r ts.TimeRange, step time.Duration) []time.Time {
 	if step <= 0 || !r.To.After(r.From) {
@@ -47,7 +51,10 @@ func oracleAlign(series []*ts.Series, r ts.TimeRange, step time.Duration) (*ts.F
 	}
 	counts := make([]int, len(grid)*len(cols))
 	for j, s := range series {
-		for _, smp := range s.Slice(r) {
+		for _, smp := range s.Samples {
+			if !r.Contains(smp.TS) {
+				continue
+			}
 			i := int(smp.TS.Sub(r.From) / step)
 			if i < 0 || i >= len(grid) {
 				continue
@@ -166,8 +173,27 @@ func oracleFamilies(names []string, groups map[string][]*ts.Series, display func
 	return families, "", nil
 }
 
+// oracleGroupSeries buckets series by family name in arrival order,
+// dropping those groupBy maps to "", and returns the names sorted.
+func oracleGroupSeries(series []*ts.Series, groupBy GroupFunc) ([]string, map[string][]*ts.Series) {
+	groups := make(map[string][]*ts.Series)
+	var names []string
+	for _, s := range series {
+		g := groupBy(s)
+		if g == "" {
+			continue
+		}
+		if _, ok := groups[g]; !ok {
+			names = append(names, g)
+		}
+		groups[g] = append(groups[g], s)
+	}
+	sort.Strings(names)
+	return names, groups
+}
+
 func oracleBuildFamilies(series []*ts.Series, groupBy GroupFunc, r ts.TimeRange, step time.Duration) ([]*Family, error) {
-	names, groups := groupSeries(series, groupBy)
+	names, groups := oracleGroupSeries(series, groupBy)
 	fams, failed, err := oracleFamilies(names, groups, func(n string) string { return n }, r, step)
 	if err != nil {
 		return nil, fmt.Errorf("core: aligning family %q: %w", failed, err)
@@ -376,40 +402,112 @@ func (c buildCase) toRelation() *sqlexec.Relation {
 	return rel
 }
 
+// compareBuilds reports the first difference between a build and the
+// oracle's: in the error (both or neither, same text) or in the families.
+func compareBuilds(what string, got, want []*Family, gotErr, wantErr error) error {
+	if (gotErr == nil) != (wantErr == nil) {
+		return fmt.Errorf("%s: error %v, oracle %v", what, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			return fmt.Errorf("%s: error %q, oracle %q", what, gotErr, wantErr)
+		}
+		return nil
+	}
+	if err := sameFamilies(got, want); err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
+}
+
 // checkAgainstOracle runs every build path on one case — BuildFamilies by
 // metric name and by host tag, FamiliesFromRelation keyed by host and
 // unkeyed — and compares each with the oracle.
 func checkAgainstOracle(c buildCase) error {
 	r, step := c.rangeStep()
-	compare := func(what string, got, want []*Family, gotErr, wantErr error) error {
-		if (gotErr == nil) != (wantErr == nil) {
-			return fmt.Errorf("%s: error %v, oracle %v", what, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				return fmt.Errorf("%s: error %q, oracle %q", what, gotErr, wantErr)
-			}
-			return nil
-		}
-		if err := sameFamilies(got, want); err != nil {
-			return fmt.Errorf("%s: %w", what, err)
-		}
-		return nil
-	}
 	for _, g := range []struct {
 		what string
 		fn   GroupFunc
 	}{{"by name", GroupByMetricName}, {"by tag", GroupByTag("host")}} {
 		got, gotErr := BuildFamilies(c.toSeries(), g.fn, r, step)
 		want, wantErr := oracleBuildFamilies(c.toSeries(), g.fn, r, step)
-		if err := compare("BuildFamilies "+g.what, got, want, gotErr, wantErr); err != nil {
+		if err := compareBuilds("BuildFamilies "+g.what, got, want, gotErr, wantErr); err != nil {
 			return err
 		}
 	}
 	for _, key := range []string{"host", ""} {
 		got, gotErr := FamiliesFromRelation(c.toRelation(), "ts", key, r, step)
 		want, wantErr := oracleFamiliesFromRelation(c.toRelation(), "ts", key, r, step)
-		if err := compare(fmt.Sprintf("FamiliesFromRelation key %q", key), got, want, gotErr, wantErr); err != nil {
+		if err := compareBuilds(fmt.Sprintf("FamiliesFromRelation key %q", key), got, want, gotErr, wantErr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// records renders the case as store records in arrival order: the
+// samples of one series, then the next, none sorted.
+func (c buildCase) records() []tsdb.Record {
+	var recs []tsdb.Record
+	for _, cs := range c.series {
+		tags := map[string]string{}
+		if cs.host != "" {
+			tags["host"] = cs.host
+		}
+		for _, smp := range cs.samples {
+			recs = append(recs, tsdb.Record{Metric: cs.name, Tags: tags, TS: t0.Add(time.Duration(smp.at) * time.Second), Value: smp.v})
+		}
+	}
+	return recs
+}
+
+// checkStoreRoute compares the in-place build over db, grouped by name and
+// by host tag, with the oracle over the sorted copies db.Run returns.
+// The builds run before Run, so a store left unsorted by its puts is
+// first read by the in-place build.
+func checkStoreRoute(c buildCase, db *tsdb.DB) error {
+	r, step := c.rangeStep()
+	groupings := []struct {
+		what string
+		fn   GroupFunc
+	}{{"by name", GroupByMetricName}, {"by tag", GroupByTag("host")}}
+	type build struct {
+		fams []*Family
+		n    int
+		err  error
+	}
+	builds := make([]build, len(groupings))
+	for i, g := range groupings {
+		b := &builds[i]
+		b.fams, b.n, b.err = BuildFamiliesFromStore(db, g.fn, r, step)
+	}
+	series, err := db.Run(tsdb.Query{Range: r})
+	if err != nil {
+		return err
+	}
+	for i, g := range groupings {
+		b := builds[i]
+		want, wantErr := oracleBuildFamilies(series, g.fn, r, step)
+		what := fmt.Sprintf("BuildFamiliesFromStore %s at %d shards", g.what, db.NumShards())
+		if err := compareBuilds(what, b.fams, want, b.err, wantErr); err != nil {
+			return err
+		}
+		if b.n != len(series) {
+			return fmt.Errorf("%s: read %d series, Run returned %d", what, b.n, len(series))
+		}
+	}
+	return nil
+}
+
+// checkStoreShards loads the case into in-memory stores of 1 and 3 shards
+// through PutBatch and checks the store route on each.
+func checkStoreShards(c buildCase) error {
+	for _, shards := range []int{1, 3} {
+		db := tsdb.NewWithShards(shards)
+		if err := db.PutBatch(c.records()); err != nil {
+			return err
+		}
+		if err := checkStoreRoute(c, db); err != nil {
 			return err
 		}
 	}
@@ -490,6 +588,20 @@ var buildCases = []struct {
 	{"unsorted series", buildCase{step: 60, span: 300, series: []caseSeries{
 		{name: "disk", host: "dn-1", unsorted: true, samples: []caseSample{{240, 4}, {-30, 8}, {0, 1}, {400, 9}, {60, 2}, {-90, 3}}},
 	}}},
+	{"duplicate timestamps", buildCase{step: 60, span: 240, series: []caseSeries{
+		{name: "disk", host: "dn-1", samples: []caseSample{{0, 1}, {0, 2}, {60, 1e16}, {60, 1}, {60, -1e16}, {120, 0.1}, {120, 0.2}, {120, 0.3}}},
+		{name: "disk", host: "dn-2", unsorted: true, samples: []caseSample{{180, 1e16}, {0, 5}, {180, 1}, {0, 6}, {180, -1e16}}},
+	}}},
+	{"partial range", buildCase{step: 60, span: 600, series: []caseSeries{
+		{name: "disk", host: "dn-1", samples: []caseSample{{-600, 1}, {-60, 2}, {0, 3}, {300, 4}, {599, 5}, {600, 6}, {1200, 7}}},
+		{name: "cpu", host: "", samples: []caseSample{{-300, 1}, {240, 2}, {900, 3}}},
+		{name: "net", host: "dn-2", samples: []caseSample{{600, 1}, {660, 2}}},
+	}}},
+	// A binary search of the range assumes sorted samples: on this series
+	// it lost the 2 at +60s and let the 8 at -30s truncate into row 0.
+	{"unsorted series straddling From", buildCase{step: 60, span: 180, series: []caseSeries{
+		{name: "disk", host: "dn-1", unsorted: true, samples: []caseSample{{60, 2}, {-30, 8}, {0, 1}}},
+	}}},
 }
 
 func TestBuildFamiliesMatchesOracle(t *testing.T) {
@@ -505,15 +617,64 @@ func TestBuildFamiliesMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBuildFamiliesFromStoreMatchesOracle: every differential case, put
+// into in-memory stores of 1, 4 and 7 shards and into a durable store
+// (written, then reopened), builds in place bitwise as the oracle builds
+// that store's Run output, grouped by name and by host tag. The cases
+// cover unsorted shards (an out-of-order put leaves the shard to be sorted
+// under its write lock), duplicate timestamps, series with no sample in
+// range, NaN and ±Inf samples, a {host=NULL} group and partial ranges.
+func TestBuildFamiliesFromStoreMatchesOracle(t *testing.T) {
+	for _, tc := range buildCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, shards := range []int{1, 4, 7} {
+				db := tsdb.NewWithShards(shards)
+				if err := db.PutBatch(tc.c.records()); err != nil {
+					t.Fatal(err)
+				}
+				if err := checkStoreRoute(tc.c, db); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dir := t.TempDir()
+			db, err := tsdb.OpenWithOptions(dir, tsdb.Options{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.PutBatch(tc.c.records()); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkStoreRoute(tc.c, db); err != nil {
+				t.Fatalf("durable: %v", err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = tsdb.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := checkStoreRoute(tc.c, db); err != nil {
+				t.Fatalf("durable, reopened: %v", err)
+			}
+		})
+	}
+}
+
 // FuzzBuildFamilies drives arbitrary series, ranges and steps through
-// BuildFamilies and FamiliesFromRelation and requires bitwise agreement
-// with the oracle. The table cases seed it; testdata/fuzz holds them too.
+// BuildFamilies and FamiliesFromRelation, and through stores of 1 and 3
+// shards into BuildFamiliesFromStore, and requires bitwise agreement with
+// the oracle. The table cases seed it; testdata/fuzz holds them too.
 func FuzzBuildFamilies(f *testing.F) {
 	for _, tc := range buildCases {
 		f.Add(tc.c.encode())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkAgainstOracle(decodeCase(data)); err != nil {
+		c := decodeCase(data)
+		if err := checkAgainstOracle(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkStoreShards(c); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -80,3 +80,90 @@ func TestFamilyVizMemoized(t *testing.T) {
 		t.Fatalf("Result.Viz = %q, want %q", got, want)
 	}
 }
+
+// oracleSparkline is Sparkline as it was before it read columns in place:
+// a copied column, a bucket slice and a rune slice per call.
+func oracleSparkline(values []float64, width int) string {
+	if len(values) == 0 || width <= 0 {
+		return ""
+	}
+	levels := []rune("▁▂▃▄▅▆▇█")
+	buckets := make([]float64, 0, width)
+	if len(values) <= width {
+		buckets = values
+	} else {
+		per := float64(len(values)) / float64(width)
+		for b := 0; b < width; b++ {
+			lo := int(float64(b) * per)
+			hi := int(float64(b+1) * per)
+			if hi > len(values) {
+				hi = len(values)
+			}
+			if lo >= hi {
+				lo = hi - 1
+			}
+			var s float64
+			for _, v := range values[lo:hi] {
+				s += v
+			}
+			buckets = append(buckets, s/float64(hi-lo))
+		}
+	}
+	min, max := buckets[0], buckets[0]
+	for _, v := range buckets {
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	out := make([]rune, len(buckets))
+	for i, v := range buckets {
+		if max == min {
+			out[i] = levels[0]
+			continue
+		}
+		idx := int((v - min) / (max - min) * float64(len(levels)-1))
+		out[i] = levels[idx]
+	}
+	return string(out)
+}
+
+// TestSparklineMatchesOracle: the viz column, read in place from the lead
+// column of a family of any width, is byte for byte the old copy-based
+// sparkline of that column, over lengths below, at and above the viz
+// width, flat and varying columns; and rendering allocates only the
+// result.
+func TestSparklineMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, rows := range []int{1, 2, 7, 31, 32, 33, 64, 100, 288, 1000} {
+		for _, width := range []int{1, 2, 5} {
+			for _, flat := range []bool{false, true} {
+				gens := make([]func(int) float64, width)
+				for j := range gens {
+					gens[j] = noiseGen(rng, float64(j+1))
+					if flat {
+						gens[j] = func(int) float64 { return 3.5 }
+					}
+				}
+				fam := synthFamily("f", rows, gens...)
+				want := oracleSparkline(fam.Matrix.Col(0), vizWidth)
+				if got := fam.viz(); got != want {
+					t.Fatalf("%d rows, width %d, flat %v: viz %q, oracle %q", rows, width, flat, got, want)
+				}
+				for _, w := range []int{0, 1, 3, 16, 32, 40} {
+					col := fam.Matrix.Col(0)
+					if got, want := Sparkline(col, w), oracleSparkline(col, w); got != want {
+						t.Fatalf("%d rows, sparkline width %d: %q, oracle %q", rows, w, got, want)
+					}
+				}
+			}
+		}
+	}
+	fam := synthFamily("f", 288, noiseGen(rng, 1), noiseGen(rng, 1))
+	m := fam.Matrix
+	if allocs := testing.AllocsPerRun(100, func() { _ = sparkline(m.Data, m.Rows, m.Cols, vizWidth) }); allocs != 1 {
+		t.Fatalf("rendering a viz column allocates %.0f objects, want 1 (the result)", allocs)
+	}
+}

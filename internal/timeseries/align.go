@@ -31,19 +31,22 @@ func TimeGrid(r TimeRange, step time.Duration) []time.Time {
 // it: the single bucketing/averaging and gap-filling implementation behind
 // Align, Frame.Interpolate and the feature-family build. One Grid serves
 // every family of a build, so Index is allocated once and shared, read-only,
-// by all of them. A Grid is not safe for concurrent use; its Index is.
+// by all of them. A Grid is not safe for concurrent use; its Index is, and
+// Fork gives each goroutine its own scratch over the same Index.
 //
-// Bucketing is wall-clock integer arithmetic: a sample at ts lands in row
-// (ts.UnixNano() − From.UnixNano()) / step, truncated toward zero, so a
-// monotonic reading on a sample or on the range never moves a sample.
+// Bucketing is wall-clock integer arithmetic over the half-open range
+// [From, To): a sample at ts belongs to the grid only if From <= ts < To,
+// compared in Unix nanoseconds, and then lands in row
+// (ts.UnixNano() − From.UnixNano()) / step, so a monotonic reading on a
+// sample or on the range never moves a sample. Samples may arrive in any
+// order: every one is range-checked, so no caller needs to sort first.
 type Grid struct {
 	Index []time.Time // the grid points; never written after NewGrid
 
-	r      TimeRange // the range, monotonic readings stripped
-	from   int64     // r.From in Unix nanoseconds
+	from   int64 // the range in Unix nanoseconds, monotonic readings stripped
+	to     int64
 	step   int64
-	counts []int32 // scratch: samples seen per cell of the current block
-	keep   []int   // scratch: columns of the current block with data
+	counts []int32 // scratch: samples seen per row of the current column
 	obs    []int   // scratch: observed rows of the column being filled
 }
 
@@ -55,98 +58,83 @@ func NewGrid(r TimeRange, step time.Duration) (*Grid, error) {
 	wall := TimeRange{From: r.From.Round(0), To: r.To.Round(0)}
 	return &Grid{
 		Index: TimeGrid(wall, step),
-		r:     wall,
 		from:  wall.From.UnixNano(),
+		to:    wall.To.UnixNano(),
 		step:  int64(step),
 	}, nil
+}
+
+// Fork returns a Grid over the same points, sharing Index, with scratch of
+// its own, so several goroutines can average onto one grid at once.
+func (g *Grid) Fork() *Grid {
+	return &Grid{Index: g.Index, from: g.from, to: g.to, step: g.step}
 }
 
 // Rows returns the number of grid points.
 func (g *Grid) Rows() int { return len(g.Index) }
 
-// average buckets every series' in-range samples onto the grid and averages
-// them in place: dst is row-major Rows() x len(series), one column per
-// series in order, and its prior contents are ignored. Duplicates in a cell
-// are summed in arrival order and divided by their count; a cell that no
-// sample reached is NaN. A cell whose average is NaN (a NaN sample, or
-// +Inf and -Inf together) is therefore indistinguishable from an empty one:
-// NaN is the single meaning of "missing".
-func (g *Grid) average(dst []float64, series []*Series) {
-	rows, c := int64(g.Rows()), len(series)
+// Average buckets one series' samples onto the grid and averages them in
+// place into column j of dst, a row-major Rows() x stride buffer; the
+// column's prior contents are ignored. Duplicates in a cell are summed in
+// arrival order and divided by their count; a cell that no sample reached
+// is NaN. A cell whose average is NaN (a NaN sample, or +Inf and -Inf
+// together) is therefore indistinguishable from an empty one: NaN is the
+// single meaning of "missing". It reports whether any cell of the column
+// holds an observation.
+func (g *Grid) Average(dst []float64, stride, j int, samples []Sample) (observed bool) {
+	rows := int64(g.Rows())
 	if rows == 0 {
-		return // an empty or inverted range: Slice would not be well defined
+		return false
 	}
-	if cap(g.counts) < len(dst) {
-		g.counts = make([]int32, len(dst))
+	if cap(g.counts) < int(rows) {
+		g.counts = make([]int32, rows)
 	}
-	counts := g.counts[:len(dst)]
+	counts := g.counts[:rows]
 	clear(counts)
-	for j, s := range series {
-		for _, smp := range s.Slice(g.r) {
-			// Slice bounds the range only on a sorted series; the row check
-			// keeps an unsorted one's strays out.
-			i := (smp.TS.UnixNano() - g.from) / g.step
-			if i < 0 || i >= rows {
-				continue
-			}
-			idx := int(i)*c + j
-			if counts[idx] == 0 {
-				dst[idx] = smp.Value
-			} else {
-				dst[idx] += smp.Value
-			}
-			counts[idx]++
+	// Row i spans [lo, hi) nanoseconds. Sorted samples mostly land in the
+	// same row as the last or the next one, which needs no division; any
+	// other sample is placed by dividing, to the same row.
+	i, lo, hi := int64(-1), g.from, g.from
+	for _, smp := range samples {
+		ns := smp.TS.UnixNano()
+		if ns < g.from || ns >= g.to {
+			continue
 		}
+		switch {
+		case ns >= lo && ns < hi:
+		case ns >= hi && ns-hi < g.step:
+			i, lo, hi = i+1, hi, hi+g.step
+		default:
+			i = (ns - g.from) / g.step
+			lo = g.from + i*g.step
+			hi = lo + g.step
+		}
+		idx := int(i)*stride + j
+		if counts[i] == 0 {
+			dst[idx] = smp.Value
+		} else {
+			dst[idx] += smp.Value
+		}
+		counts[i]++
 	}
-	for idx, n := range counts {
+	for i, n := range counts {
+		idx := i*stride + j
 		switch {
 		case n == 0:
 			dst[idx] = math.NaN()
+			continue
 		case n > 1:
 			dst[idx] /= float64(n)
 		}
+		observed = observed || !math.IsNaN(dst[idx])
 	}
+	return observed
 }
 
-// Dense materialises one block of series as a gap-free row-major matrix
-// payload: average onto the grid, drop the columns with no observed cell,
-// then fill every remaining gap with the nearest observation — all on one
-// freshly allocated buffer, which is returned. keep lists the indices of
-// the series that kept a column, in order; it is scratch owned by the Grid
-// and valid until the next call. When no series has an observed cell both
-// results are nil.
-func (g *Grid) Dense(series []*Series) (data []float64, keep []int) {
-	rows, c := g.Rows(), len(series)
-	data = make([]float64, rows*c)
-	g.average(data, series)
-	keep = g.keep[:0]
-	for j := 0; j < c; j++ {
-		for i := j; i < len(data); i += c {
-			if !math.IsNaN(data[i]) {
-				keep = append(keep, j)
-				break
-			}
-		}
-	}
-	g.keep = keep
-	k := len(keep)
-	if k == 0 {
-		return nil, nil
-	}
-	if k < c {
-		// Compact in place: row i, kept column nj moves from i*c+j down to
-		// i*k+nj, never past a cell still to be read.
-		for i := 0; i < rows; i++ {
-			for nj, j := range keep {
-				data[i*k+nj] = data[i*c+j]
-			}
-		}
-		data = data[:rows*k]
-	}
-	for j := 0; j < k; j++ {
-		g.obs = fillNearest(data, rows, k, j, g.obs)
-	}
-	return data, keep
+// Fill fills the NaN gaps of column j of dst, a row-major Rows() x stride
+// buffer, with the nearest observation (see fillNearest).
+func (g *Grid) Fill(dst []float64, stride, j int) {
+	g.obs = fillNearest(dst, g.Rows(), stride, j, g.obs)
 }
 
 // Align places the given series onto a regular grid over r with the given
@@ -162,7 +150,9 @@ func Align(series []*Series, r TimeRange, step time.Duration) (*Frame, error) {
 		cols[j] = s.ID()
 	}
 	f := &Frame{Index: g.Index, Columns: cols, values: make([]float64, g.Rows()*len(cols))}
-	g.average(f.values, series)
+	for j, s := range series {
+		g.Average(f.values, len(cols), j, s.Samples)
+	}
 	return f, nil
 }
 
@@ -174,6 +164,13 @@ func Align(series []*Series, r TimeRange, step time.Duration) (*Frame, error) {
 // indices; the (possibly grown) slice is returned for reuse.
 func fillNearest(data []float64, rows, stride, j int, obs []int) []int {
 	obs = obs[:0]
+	gap := 0
+	for gap < rows && !math.IsNaN(data[gap*stride+j]) {
+		gap++
+	}
+	if gap == rows {
+		return obs // no gap: the common case, checked without listing rows
+	}
 	for i := 0; i < rows; i++ {
 		if !math.IsNaN(data[i*stride+j]) {
 			obs = append(obs, i)

@@ -53,10 +53,11 @@ func TestAlignWallClock(t *testing.T) {
 	}
 }
 
-// TestGridDenseDropsAndFills: Dense averages, drops the all-missing
-// columns (no sample, or only samples averaging to NaN), compacts the kept
-// ones in place and fills their gaps nearest-neighbour.
-func TestGridDenseDropsAndFills(t *testing.T) {
+// TestGridAverageAndFill: Average buckets and averages one column of a
+// row-major block, reports whether it holds an observation (no sample, or
+// only samples averaging to NaN, is none) and leaves the other columns
+// alone; Fill closes the gaps nearest-neighbour.
+func TestGridAverageAndFill(t *testing.T) {
 	g, err := NewGrid(TimeRange{From: t0, To: t0.Add(4 * time.Minute)}, time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -69,16 +70,50 @@ func TestGridDenseDropsAndFills(t *testing.T) {
 	a.Append(t0.Add(time.Minute), 2)
 	a.Append(t0.Add(time.Minute+time.Second), 4)
 	b := minuteSeries("b", nil, 1, math.NaN(), 3, 4)
-	data, keep := g.Dense([]*Series{empty, a, nan, b})
-	if fmt.Sprint(keep) != "[1 3]" {
-		t.Fatalf("kept %v, want [1 3]", keep)
+	data := make([]float64, 4*2)
+	for j, c := range []struct {
+		s        *Series
+		observed bool
+	}{{empty, false}, {nan, false}} {
+		if got := g.Average(data, 2, j, c.s.Samples); got != c.observed {
+			t.Fatalf("%s: observed %v", c.s.Name, got)
+		}
 	}
-	want := []float64{3, 1, 3, 1, 3, 3, 3, 4} // row-major, columns a and b
-	if fmt.Sprint(data) != fmt.Sprint(want) {
-		t.Fatalf("data %v, want %v", data, want)
+	if !g.Average(data, 2, 0, a.Samples) || !g.Average(data, 2, 1, b.Samples) {
+		t.Fatal("an observed column reported none")
 	}
-	if data, keep := g.Dense([]*Series{empty, nan}); data != nil || keep != nil {
-		t.Fatalf("all-missing block gave %v, %v", data, keep)
+	if want := "[NaN 1 3 NaN NaN 3 NaN 4]"; fmt.Sprint(data) != want {
+		t.Fatalf("averaged %v, want %v", data, want)
+	}
+	g.Fill(data, 2, 0)
+	g.Fill(data, 2, 1)
+	if want := "[3 1 3 1 3 3 3 4]"; fmt.Sprint(data) != want {
+		t.Fatalf("filled %v, want %v", data, want)
+	}
+}
+
+// TestGridAverageUnsorted: the range is checked on every sample, so an
+// unsorted series averages exactly as its sorted copy does and a stray in
+// (From - step, From) stays out of row 0. A binary search of the range
+// (Series.Slice) assumes sorted input: on this series it dropped the 2 at
+// +60s and folded the 8 at -30s into row 0.
+func TestGridAverageUnsorted(t *testing.T) {
+	g, err := NewGrid(TimeRange{From: t0, To: t0.Add(3 * time.Minute)}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Series{Name: "m"}
+	s.Append(t0.Add(time.Minute), 2)
+	s.Append(t0.Add(-30*time.Second), 8)
+	s.Append(t0, 1)
+	sorted := &Series{Name: "m", Samples: append([]Sample(nil), s.Samples...)}
+	sorted.Sort()
+	for _, c := range []*Series{s, sorted} {
+		col := make([]float64, g.Rows())
+		g.Average(col, 1, 0, c.Samples)
+		if want := "[1 2 NaN]"; fmt.Sprint(col) != want {
+			t.Fatalf("averaged %v, want %v", col, want)
+		}
 	}
 }
 

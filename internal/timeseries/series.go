@@ -134,10 +134,13 @@ func (r TimeRange) String() string {
 }
 
 // Slice returns the samples of s falling inside the range, assuming the
-// series is sorted by time.
+// series is sorted by time. An inverted range (To before From) is empty.
 func (s *Series) Slice(r TimeRange) []Sample {
 	lo := sort.Search(len(s.Samples), func(i int) bool { return !s.Samples[i].TS.Before(r.From) })
 	hi := sort.Search(len(s.Samples), func(i int) bool { return !s.Samples[i].TS.Before(r.To) })
+	if hi < lo {
+		return nil
+	}
 	return s.Samples[lo:hi]
 }
 

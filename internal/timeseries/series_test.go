@@ -96,6 +96,10 @@ func TestSeriesSlice(t *testing.T) {
 	if len(got) != 3 || got[0].Value != 2 || got[2].Value != 4 {
 		t.Fatalf("slice %v", got)
 	}
+	// An inverted range holds nothing; its bounds used to cross and panic.
+	if got := s.Slice(TimeRange{From: t0.Add(4 * time.Minute), To: t0.Add(time.Minute)}); len(got) != 0 {
+		t.Fatalf("inverted range sliced %v", got)
+	}
 }
 
 func TestValueAt(t *testing.T) {

@@ -29,7 +29,7 @@ type compiledQuery struct {
 }
 
 func compileQuery(q Query) (*compiledQuery, error) {
-	cq := &compiledQuery{q: q, rng: q.Range}
+	cq := &compiledQuery{q: q}
 	if q.NamePattern != "" {
 		g, err := compileQueryGlob(q.NamePattern)
 		if err != nil {
@@ -47,10 +47,16 @@ func compileQuery(q Query) (*compiledQuery, error) {
 			cq.tagGlobs[k] = g
 		}
 	}
-	if cq.rng.IsZero() {
-		cq.rng = ts.TimeRange{From: time.Unix(0, 0).UTC(), To: time.Unix(1<<62-1, 0).UTC()}
-	}
+	cq.rng = resolveRange(q.Range)
 	return cq, nil
+}
+
+// resolveRange is a query's effective range: a zero range is every sample.
+func resolveRange(r ts.TimeRange) ts.TimeRange {
+	if r.IsZero() {
+		return ts.TimeRange{From: time.Unix(0, 0).UTC(), To: time.Unix(1<<62-1, 0).UTC()}
+	}
+	return r
 }
 
 func compileQueryGlob(pattern string) (Glob, error) {
@@ -104,16 +110,15 @@ func (db *DB) RunContext(ctx context.Context, q Query) ([]*ts.Series, error) {
 	metQueries.Inc()
 	if len(db.shards) == 1 {
 		_, end := obs.StartSpan(ctx, "shard_scan")
-		_, out := db.shards[0].run(cq)
+		matches := db.shards[0].run(cq)
 		end()
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		metSeriesOut.Add(uint64(len(out)))
-		return out, nil
+		return seriesOf(matches), nil
 	}
 	scanCtx, endScan := obs.StartSpan(ctx, "shard_scan")
-	parts := make([]shardResult, len(db.shards))
+	parts := make([][]match, len(db.shards))
 	var wg sync.WaitGroup
 	for i, sh := range db.shards {
 		wg.Add(1)
@@ -123,7 +128,7 @@ func (db *DB) RunContext(ctx context.Context, q Query) ([]*ts.Series, error) {
 				return // abort the fan-out: leave this shard's part empty
 			}
 			_, endOne := obs.StartSpanName(scanCtx, "shard ", strconv.Itoa(i))
-			parts[i].ids, parts[i].series = sh.run(cq)
+			parts[i] = sh.run(cq)
 			endOne()
 		}(i, sh)
 	}
@@ -133,40 +138,62 @@ func (db *DB) RunContext(ctx context.Context, q Query) ([]*ts.Series, error) {
 		return nil, err
 	}
 	_, endMerge := obs.StartSpan(ctx, "merge")
-	out := mergeByID(parts)
+	out := seriesOf(MergeByID(parts, func(m match) string { return m.id }))
 	endMerge()
-	metSeriesOut.Add(uint64(len(out)))
 	return out, nil
 }
 
-type shardResult struct {
-	ids    []string
-	series []*ts.Series
+// match is one series a shard's scan returns: a copy restricted to the
+// query range, and the stored series' ID.
+type match struct {
+	id string
+	s  *ts.Series
 }
 
-// run executes the compiled plan on one shard, returning matched series
-// (copied, range-restricted) and their IDs, both ordered by ID. The
-// sorted flag is only trustworthy under a lock (a concurrent out-of-order
-// Put can clear it), so the flag is checked under the read lock the query
-// runs under; the rare unsorted shard is queried under the write lock,
-// with the sort and the scan in one critical section.
-func (sh *shard) run(cq *compiledQuery) ([]string, []*ts.Series) {
+// seriesOf returns the matches' series, in order, and counts them as
+// returned on /metrics.
+func seriesOf(matches []match) []*ts.Series {
+	if len(matches) == 0 {
+		return nil
+	}
+	out := make([]*ts.Series, len(matches))
+	for i, m := range matches {
+		out[i] = m.s
+	}
+	metSeriesOut.Add(uint64(len(out)))
+	return out
+}
+
+// run executes the compiled plan on one shard, returning the matched series
+// (copied, range-restricted) ordered by ID.
+func (sh *shard) run(cq *compiledQuery) (out []match) {
+	sh.readSorted(func() { out = sh.runLocked(cq) })
+	return out
+}
+
+// readSorted counts one scan of the shard and runs fn with the shard
+// sorted and locked against writers. The sorted flag is only trustworthy
+// under a lock (a concurrent out-of-order Put can clear it), so it is
+// checked under the read lock fn then runs under; the rare unsorted shard
+// is sorted and read under the write lock, in one critical section.
+func (sh *shard) readSorted(fn func()) {
 	sh.scans.Inc()
 	sh.mu.RLock()
 	if sh.sorted {
 		defer sh.mu.RUnlock()
-		return sh.runLocked(cq)
+		fn()
+		return
 	}
 	sh.mu.RUnlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.sortLocked()
-	return sh.runLocked(cq)
+	fn()
 }
 
 // runLocked does the index selection, filtering and copying; caller holds
 // at least the read lock and guarantees the shard is sorted.
-func (sh *shard) runLocked(cq *compiledQuery) (ids []string, out []*ts.Series) {
+func (sh *shard) runLocked(cq *compiledQuery) (out []match) {
 	// Pick the narrowest index covering the query: the name index for an
 	// exact metric, the smallest tag postings set for exact tags —
 	// whichever is smallest. The filter below re-checks every predicate,
@@ -186,23 +213,16 @@ func (sh *shard) runLocked(cq *compiledQuery) (ids []string, out []*ts.Series) {
 		consider(sh.byTag[k+"="+v])
 	}
 	if useIndex && len(candidates) == 0 {
-		return nil, nil
+		return nil
 	}
 
+	var ids []string
 	if useIndex {
-		ids = make([]string, 0, len(candidates))
-		for id := range candidates {
-			ids = append(ids, id)
-		}
+		ids = sortedKeys(candidates)
 	} else {
-		ids = make([]string, 0, len(sh.series))
-		for id := range sh.series {
-			ids = append(ids, id)
-		}
+		ids = sortedKeys(sh.series)
 	}
-	sort.Strings(ids)
 
-	n := 0
 	for _, id := range ids {
 		s := sh.series[id]
 		if !cq.matches(s) {
@@ -212,37 +232,87 @@ func (sh *shard) runLocked(cq *compiledQuery) (ids []string, out []*ts.Series) {
 		if len(samples) == 0 {
 			continue
 		}
-		ids[n] = id
-		n++
-		out = append(out, &ts.Series{Name: s.Name, Tags: s.Tags.Clone(), Samples: append([]ts.Sample(nil), samples...)})
+		out = append(out, match{id, &ts.Series{Name: s.Name, Tags: s.Tags.Clone(), Samples: append([]ts.Sample(nil), samples...)}})
 	}
-	return ids[:n], out
+	return out
 }
 
-// mergeByID merges per-shard results (each sorted by series ID) into one
-// globally ID-ordered slice. Series IDs are unique across shards, so the
-// merge never ties.
-func mergeByID(parts []shardResult) []*ts.Series {
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Visit hands every stored series with a sample in r (a zero r is every
+// sample) to fn in place: its canonical ID, the stored series and its
+// samples in r, all the store's own memory — no sample is copied and no
+// tag map cloned. One goroutine per shard walks that shard's series in ID
+// order, as Run's scan does, holding the shard's read lock throughout (an
+// unsorted shard is sorted under its write lock first and walked under
+// it), so fn runs concurrently for different shards and serially within
+// one; shard is the shard's index, 0 <= shard < NumShards(). fn must not
+// retain or modify s or in, and must not call into the DB or take a lock
+// another shard's visit may hold. A visit counts as one query, and one
+// scan per shard, on /metrics. It returns the number of series visited.
+func (db *DB) Visit(r ts.TimeRange, fn func(shard int, id string, s *ts.Series, in []ts.Sample)) int {
+	r = resolveRange(r)
+	metQueries.Inc()
+	visited := make([]int, len(db.shards))
+	var wg sync.WaitGroup
+	for i, sh := range db.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.readSorted(func() {
+				for _, id := range sortedKeys(sh.series) {
+					s := sh.series[id]
+					if in := s.Slice(r); len(in) > 0 {
+						fn(i, id, s, in)
+						visited[i]++
+					}
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for _, n := range visited {
+		total += n
+	}
+	metSeriesOut.Add(uint64(total))
+	return total
+}
+
+// MergeByID merges per-shard lists, each ordered by series ID, into one
+// ID-ordered list: the order a single-shard store produces, so results do
+// not depend on the shard count. id gives an element's series ID. Series
+// IDs are unique across shards, so the merge never ties. A single list is
+// returned as it is, in whatever order it has.
+func MergeByID[T any](parts [][]T, id func(T) string) []T {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	total := 0
 	for _, p := range parts {
-		total += len(p.series)
+		total += len(p)
 	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]*ts.Series, 0, total)
+	out := make([]T, 0, total)
 	pos := make([]int, len(parts))
 	for len(out) < total {
 		best := -1
-		for i := range parts {
-			if pos[i] >= len(parts[i].ids) {
-				continue
-			}
-			if best == -1 || parts[i].ids[pos[i]] < parts[best].ids[pos[best]] {
+		for i, p := range parts {
+			if pos[i] < len(p) && (best < 0 || id(p[pos[i]]) < id(parts[best][pos[best]])) {
 				best = i
 			}
 		}
-		out = append(out, parts[best].series[pos[best]])
+		out = append(out, parts[best][pos[best]])
 		pos[best]++
 	}
 	return out
