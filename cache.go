@@ -4,21 +4,37 @@ import (
 	"fmt"
 	"strings"
 
+	"explainit/internal/obs"
 	"explainit/internal/rescache"
 )
 
-// Ranking result cache. A completed ranking is a pure function of (family
-// registry generation, target, conditioning sequence, search space, scorer,
-// seed, TopK, explain range) and the data under the store — so the facade
-// memoizes completed rankings in a watermark-validated LRU
-// (internal/rescache) keyed by the former and invalidated by the latter.
-// The one ranking path, Client.rank, builds the one key (rankSpec.key),
-// probes and stores; every Explain, ExplainStream, Investigation step, SQL
-// EXPLAIN and watch tick runs through it, so a repeat EXPLAIN over
-// unchanged data returns the identical Ranking without touching the engine
-// whichever surface asked. Worker count is deliberately not part of the
-// key — rankings are bitwise identical at any worker count, so results are
-// shared across parallelism settings.
+// Ranking result cache. A completed ranking is a pure function of the
+// family registry it resolved from and of (target, conditioning sequence,
+// search space, scorer, seed, TopK, explain range): family matrices are
+// materialized at build time, so between rebuilds no ranking reads the
+// store. The facade therefore memoizes completed rankings in an LRU
+// (internal/rescache) keyed by the latter and validated by the registry
+// generation alone — a Put, PutBatch or Retain leaves every entry valid,
+// and a rebuild makes every entry stale on its next probe. The one ranking
+// path, Client.rank, builds the one key (rankSpec.key), probes and stores;
+// every Explain, ExplainStream, Investigation step, SQL EXPLAIN and watch
+// tick runs through it, so a repeat EXPLAIN between rebuilds returns the
+// identical Ranking without touching the engine whichever surface asked.
+// Worker count is deliberately not part of the key — rankings are bitwise
+// identical at any worker count, so results are shared across parallelism
+// settings.
+
+// Process-wide ranking-cache counters, bumped only where Client.rank
+// probes (the SQL plan and scan caches have their own). Every ranking
+// counts as a hit or a miss — a probe of a disabled cache, or a stale
+// session ranking uncached, is a miss: the request wanted a ranking and
+// did not get a cached one, which is exactly the signal a mid-run cache
+// outage must leave in the self-scraped explainit_cache_hit_ratio.
+var (
+	metRankHits        = obs.Default().Counter("explainit_ranking_cache_hits_total")
+	metRankMisses      = obs.Default().Counter("explainit_ranking_cache_misses_total")
+	metRankInvalidated = obs.Default().Counter("explainit_ranking_cache_invalidated_total")
+)
 
 // defaultRankingCacheCap bounds the ranking LRU. Each entry is one TopK
 // result table (a few KB), so the default is generous for dashboard-style
@@ -40,8 +56,8 @@ func (c *Client) SetRankingCacheCapacity(n int) {
 }
 
 // RankingCacheStats reports the ranking cache counters: served results
-// (Hits), computed results (Misses), entries dropped because an ingest or
-// retention watermark moved under them (Invalidated), and live Entries.
+// (Hits), computed results (Misses), entries dropped because a family
+// rebuild made them stale (Invalidated), and live Entries.
 type RankingCacheStats struct {
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
@@ -55,23 +71,14 @@ func (c *Client) RankingCacheStats() RankingCacheStats {
 	return RankingCacheStats{Hits: s.Hits, Misses: s.Misses, Invalidated: s.Invalidated, Entries: s.Entries}
 }
 
-// famGeneration reads the family registry generation: bumped on every
-// registry mutation, it stands in for a hash of the family definitions in
-// cache keys (two rankings may share a cached result only when computed
-// against the same registry build).
-func (c *Client) famGeneration() uint64 {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	return c.famGen
-}
-
-// key renders the identity of the computation spec declares, at registry
-// generation gen and resolved TopK. The conditioning sequence is keyed in
-// engine order — the named families, and the pseudocause first (a
-// session's) or last (Explain's) — because column order affects float
-// rounding and the cache must only ever serve bitwise replays. The scorer
-// is keyed by what it builds, so "" and L2 share entries.
-func (s *rankSpec) key(gen uint64, topK int) string {
+// key renders the identity of the computation spec declares at resolved
+// TopK; the registry generation validates the entry instead of naming it.
+// The conditioning sequence is keyed in engine order — the named families,
+// and the pseudocause first (a session's) or last (Explain's) — because
+// column order affects float rounding and the cache must only ever serve
+// bitwise replays. The scorer is keyed by what it builds, so "" and L2
+// share entries.
+func (s *rankSpec) key(topK int) string {
 	pseudo := "none"
 	if s.Pseudocause {
 		pseudo = "last"
@@ -84,7 +91,7 @@ func (s *rankSpec) key(gen uint64, topK int) string {
 		scorer = L2
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d\x1e%s\x1e%s\x1e%d\x1e", gen, s.Target, pseudo, s.PseudocausePeriod)
+	fmt.Fprintf(&b, "%s\x1e%s\x1e%d\x1e", s.Target, pseudo, s.PseudocausePeriod)
 	b.WriteString(strings.Join(s.Condition, "\x1f"))
 	b.WriteByte('\x1e')
 	b.WriteString(strings.Join(s.SearchSpace, "\x1f"))

@@ -51,9 +51,9 @@ func main() {
 	scrape() // baseline: primes counter deltas, writes nothing
 
 	// One "interval" of serving: five identical EXPLAINs. While the cache
-	// is healthy the first recomputes (the previous scrape's own PutBatch
-	// moved the shard watermarks — the documented feedback loop) and the
-	// rest hit in microseconds.
+	// is healthy they hit in microseconds: a scrape's PutBatch adds series
+	// to the store but leaves the family registry — the one key of the
+	// ranking cache — as it was, so only the very first request computes.
 	serve := func() {
 		for i := 0; i < 5; i++ {
 			if _, err := c.Explain(explainit.ExplainOptions{Target: "pipeline_runtime", Seed: 1}); err != nil {

@@ -4,9 +4,10 @@
 // the ranking over the SSE events stream. The scenario then drifts — the
 // metric driving latency changes from load to queue_depth — and the flip
 // arrives as an "update" event with reason "order", without anyone
-// polling EXPLAIN in between. Quiet cadences cost a watermark comparison,
-// not an engine ranking, which the watcher's tick/skip/eval counters at
-// the end make visible.
+// polling EXPLAIN in between. Cadences before the next family rebuild
+// cost a generation comparison, not an engine ranking — however much was
+// ingested meanwhile — which the watcher's tick/skip/eval counters at the
+// end make visible.
 package main
 
 import (
@@ -141,14 +142,15 @@ func main() {
 	name, ev := readEvent(rd)
 	printEvent(name, ev)
 
-	// Let a few cadences pass against the unchanged store: the watcher
-	// ticks, sees identical watermarks, and does no engine work — so no
-	// events arrive and nothing is printed.
+	// Let a few cadences pass against the unchanged families: the watcher
+	// ticks, sees the same registry generation, and does no engine work —
+	// so no events arrive and nothing is printed.
 	time.Sleep(600 * time.Millisecond)
 
-	// Drift: from here on queue_depth drives latency. After the rebuild
-	// the watermark gate opens and the next cadence re-evaluates; the
-	// ranking flip arrives as one update.
+	// Drift: from here on queue_depth drives latency. Ingest alone does not
+	// move the registry, so cadences keep skipping while it lands; the
+	// rebuild publishes a new generation, the next cadence re-evaluates,
+	// and the ranking flip arrives as one update.
 	fmt.Println("drifting: queue_depth takes over as the driver ...")
 	ingest(c, 360, 400, "queue_depth")
 	rebuild(c)
@@ -156,7 +158,7 @@ func main() {
 	printEvent(name, ev)
 
 	// The counters tell the efficiency story: many ticks, almost all
-	// skipped at watermark-compare cost, two evaluations total.
+	// skipped at the cost of one integer compare, two evaluations total.
 	wresp, err := http.Get(ts.URL + "/api/v1/watch/" + info.ID)
 	if err != nil {
 		log.Fatal(err)

@@ -27,7 +27,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,20 +50,14 @@ type Tags map[string]string
 
 // Client is the top-level handle: a time series store, a SQL catalog over
 // it, and the hypothesis-ranking engine. A Client is safe for concurrent
-// use: the family registry is guarded so HTTP handlers can rebuild
-// families while rankings resolve candidates.
+// use: the family registry is one immutable value that a rebuild replaces,
+// so HTTP handlers can rebuild families while rankings resolve candidates.
 type Client struct {
-	db       *tsdb.DB
-	famMu    sync.RWMutex // guards families, famOrder, famByName and famGen
-	families map[string]*core.Family
-	famOrder []string
-	// famByName is the registry in name order: the candidate set of every
-	// ranking without a search space. It is rebuilt, never mutated, on each
-	// registry change, so rankings share it without copying.
-	famByName []*core.Family
-	// famGen counts registry mutations; it keys cached rankings to the
-	// registry build they were computed against (see cache.go).
-	famGen uint64
+	db *tsdb.DB
+	// reg is the current family registry; regMu serializes the writers
+	// that replace it (registerFamilies). Readers load it and take no lock.
+	reg   atomic.Pointer[registry]
+	regMu sync.Mutex
 	// now is the request clock that the request latency metric reads
 	// (time.Now; tests script it).
 	now    func() time.Time
@@ -85,11 +80,8 @@ type Client struct {
 }
 
 func newClient(db *tsdb.DB) *Client {
-	c := &Client{
-		db:       db,
-		families: make(map[string]*core.Family),
-		now:      time.Now,
-	}
+	c := &Client{db: db, now: time.Now}
+	c.reg.Store(&registry{byName: map[string]*core.Family{}})
 	c.rcache.Store(rescache.New(defaultRankingCacheCap))
 	c.sqlPlans.Store(rescache.New(defaultSQLPlanCacheCap))
 	c.sqlScans.Store(rescache.New(defaultSQLScanCacheCap))
@@ -247,68 +239,68 @@ func (c *Client) DefineFamiliesSQL(query, timeCol, keyCol string, from, to time.
 	return c.registerFamilies(fams, false), nil
 }
 
-// registerFamilies installs fams in the registry, replacing same-named
-// families, or with replace the whole registry. Either way it is one
-// critical section and one generation bump, so a concurrent lookup sees
-// the old registry or the new one, never a cleared one in between.
-func (c *Client) registerFamilies(fams []*core.Family, replace bool) []FamilyInfo {
-	c.famMu.Lock()
-	defer c.famMu.Unlock()
-	if replace {
-		c.families = make(map[string]*core.Family, len(fams))
-		c.famOrder = nil
+// registry is one build of the family registry: generation gen, the
+// families by name, their definition order, and the families in name order
+// (the candidate set of every ranking without a search space). It is never
+// mutated once stored, so a reader that loaded it sees one whole build and
+// rankings share its slices without copying. Its generation is the one key
+// that validates everything derived from families: cached rankings,
+// session steps and watch ticks.
+type registry struct {
+	gen    uint64
+	byName map[string]*core.Family
+	order  []string
+	sorted []*core.Family
+}
+
+// family looks a family up by name, wrapping the failure in
+// ErrUnknownFamily with the caller's role annotation.
+func (r *registry) family(name, role string) (*core.Family, error) {
+	f, ok := r.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s %q (call BuildFamilies first)", ErrUnknownFamily, role, name)
 	}
-	c.famGen++
+	return f, nil
+}
+
+// registerFamilies publishes the next registry: fams replace same-named
+// families, or with replace the whole registry. It stores one new value
+// with the next generation, so a concurrent reader sees the old registry
+// or the new one, never a cleared one in between.
+func (c *Client) registerFamilies(fams []*core.Family, replace bool) []FamilyInfo {
+	c.regMu.Lock()
+	defer c.regMu.Unlock()
+	old := c.reg.Load()
+	next := &registry{gen: old.gen + 1, byName: make(map[string]*core.Family, len(fams))}
+	if !replace {
+		maps.Copy(next.byName, old.byName)
+		next.order = slices.Clone(old.order)
+	}
 	infos := make([]FamilyInfo, 0, len(fams))
 	for _, f := range fams {
-		if _, exists := c.families[f.Name]; !exists {
-			c.famOrder = append(c.famOrder, f.Name)
+		if _, exists := next.byName[f.Name]; !exists {
+			next.order = append(next.order, f.Name)
 		}
-		c.families[f.Name] = f
-		infos = append(infos, FamilyInfo{Name: f.Name, Features: f.NumFeatures(), Rows: f.NumRows()})
+		next.byName[f.Name] = f
+		infos = append(infos, familyInfo(f))
 	}
-	names := make([]string, 0, len(c.families))
-	for n := range c.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	c.famByName = make([]*core.Family, len(names))
-	for i, n := range names {
-		c.famByName[i] = c.families[n]
-	}
+	next.sorted = slices.SortedFunc(maps.Values(next.byName), func(a, b *core.Family) int {
+		return strings.Compare(a.Name, b.Name)
+	})
+	c.reg.Store(next)
 	return infos
 }
 
-// getFamily looks a family up under the registry read lock.
-func (c *Client) getFamily(name string) (*core.Family, bool) {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	f, ok := c.families[name]
-	return f, ok
-}
-
-// famOrderSnapshot copies the definition order under the read lock.
-func (c *Client) famOrderSnapshot() []string {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	return append([]string(nil), c.famOrder...)
-}
-
-// numFamilies returns the registry size under the read lock.
-func (c *Client) numFamilies() int {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	return len(c.families)
+func familyInfo(f *core.Family) FamilyInfo {
+	return FamilyInfo{Name: f.Name, Features: f.NumFeatures(), Rows: f.NumRows()}
 }
 
 // Families lists the currently defined families, in definition order.
 func (c *Client) Families() []FamilyInfo {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	out := make([]FamilyInfo, 0, len(c.famOrder))
-	for _, name := range c.famOrder {
-		f := c.families[name]
-		out = append(out, FamilyInfo{Name: f.Name, Features: f.NumFeatures(), Rows: f.NumRows()})
+	reg := c.reg.Load()
+	out := make([]FamilyInfo, len(reg.order))
+	for i, name := range reg.order {
+		out[i] = familyInfo(reg.byName[name])
 	}
 	return out
 }
@@ -418,23 +410,6 @@ func truncate(s string, n int) string {
 	return string(runes[:n-1]) + "…"
 }
 
-// resolveFamily looks a family up by name, wrapping the failure in
-// ErrUnknownFamily with the caller's role annotation.
-func (c *Client) resolveFamily(name, role string) (*core.Family, error) {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	return c.familyLocked(name, role)
-}
-
-// familyLocked is resolveFamily for a caller holding famMu.
-func (c *Client) familyLocked(name, role string) (*core.Family, error) {
-	f, ok := c.families[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s %q (call BuildFamilies first)", ErrUnknownFamily, role, name)
-	}
-	return f, nil
-}
-
 // rankedFromResult converts one engine result into a facade row (Rank not
 // yet assigned).
 func rankedFromResult(res core.Result) RankedFamily {
@@ -475,9 +450,8 @@ func (c *Client) Explain(opts ExplainOptions) (*Ranking, error) {
 // ranking returns ctx.Err() promptly with all of its workers reaped.
 //
 // Completed rankings are memoized: repeating a call with the same options
-// over an unchanged store (no ingest, no retention sweep, no family
-// rebuild) returns the identical Ranking without touching the engine. See
-// cache.go for the keying and invalidation rules.
+// before the next family rebuild returns the identical Ranking without
+// touching the engine. See cache.go for the keying and invalidation rules.
 func (c *Client) ExplainContext(ctx context.Context, opts ExplainOptions) (*Ranking, error) {
 	defer c.noteRequest(metExplainReqs, c.now())
 	r, _, err := c.rank(ctx, rankSpec{ExplainOptions: opts}, nil, nil)
@@ -547,25 +521,24 @@ type rankInputs struct {
 	topK       int
 }
 
-// resolve reads everything spec ranks over from one registry snapshot,
-// under one read lock: a concurrent BuildFamilies lands wholly before or
-// wholly after it, so one ranking never mixes two builds.
+// resolve reads everything spec ranks over from one registry: a
+// concurrent BuildFamilies lands wholly before or wholly after it, so one
+// ranking never mixes two builds.
 func (c *Client) resolve(spec *rankSpec) (rankInputs, error) {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	in := rankInputs{gen: c.famGen, topK: spec.TopK, candidates: c.famByName}
+	reg := c.reg.Load()
+	in := rankInputs{gen: reg.gen, topK: spec.TopK, candidates: reg.sorted}
 	if spec.sql {
-		in.topK = len(c.families)
+		in.topK = len(reg.byName)
 	}
 	if spec.pin != nil {
 		in.target, in.condition = spec.pin.target, spec.pin.condition
 	} else {
 		var err error
-		if in.target, err = c.familyLocked(spec.Target, "target family"); err != nil {
+		if in.target, err = reg.family(spec.Target, "target family"); err != nil {
 			return in, err
 		}
 		for _, name := range spec.Condition {
-			f, err := c.familyLocked(name, "conditioning family")
+			f, err := reg.family(name, "conditioning family")
 			if err != nil {
 				return in, err
 			}
@@ -575,7 +548,7 @@ func (c *Client) resolve(spec *rankSpec) (rankInputs, error) {
 	if len(spec.SearchSpace) > 0 {
 		in.candidates = make([]*core.Family, 0, len(spec.SearchSpace))
 		for _, name := range spec.SearchSpace {
-			f, err := c.familyLocked(name, "search-space family")
+			f, err := reg.family(name, "search-space family")
 			if err != nil {
 				return in, err
 			}
@@ -591,7 +564,8 @@ func (c *Client) resolve(spec *rankSpec) (rankInputs, error) {
 //  1. resolves target, conditioning and candidates from one registry
 //     snapshot (plan span);
 //  2. builds the computation's one cache key;
-//  3. probes the ranking cache (cache_probe span);
+//  3. probes the ranking cache, validated by the registry generation
+//     (cache_probe span);
 //  4. prepares the conditioning design through PrepareConditioning,
 //     extending donor — a session's best factored prefix — when there is
 //     one (gram_cholesky span, which also covers deriving an Explain's
@@ -622,19 +596,21 @@ func (c *Client) rank(ctx context.Context, spec rankSpec, donor *core.CondState,
 
 	cache := c.rankingCache()
 	var key string
-	var wm []uint64
+	var valid []uint64
 	// A session whose target predates the current registry build ranks
-	// uncached: its pinned families are not the ones the key's generation
-	// names.
+	// uncached: its pinned families are not the ones the generation names.
 	if cache.Enabled() && (spec.pin == nil || spec.pin.gen == in.gen) {
-		// Watermarks are snapshotted before the ranking runs: a write landing
-		// mid-ranking moves them past the snapshot, so the entry stored below
-		// can never outlive data it did not see.
+		// Between rebuilds a ranking reads nothing but the registry it
+		// resolved, so that registry's generation alone validates the entry.
 		_, endProbe := obs.StartSpan(ctx, "cache_probe")
-		key, wm = spec.key(in.gen, in.topK), c.db.Watermarks()
-		v, hit := cache.Get(key, wm)
+		key, valid = spec.key(in.topK), []uint64{in.gen}
+		v, hit, stale := cache.Get(key, valid)
 		endProbe()
+		if stale {
+			metRankInvalidated.Inc()
+		}
 		if hit {
+			metRankHits.Inc()
 			r := v.(*Ranking).clone()
 			if onRow != nil {
 				for i := range r.Rows {
@@ -645,6 +621,7 @@ func (c *Client) rank(ctx context.Context, spec rankSpec, donor *core.CondState,
 			return spec.trim(r), nil, nil
 		}
 	}
+	metRankMisses.Inc()
 
 	eng := &core.Engine{Scorer: scorer, Workers: spec.Workers, TopK: in.topK}
 	condition := in.condition
@@ -692,7 +669,7 @@ func (c *Client) rank(ctx context.Context, spec rankSpec, donor *core.CondState,
 	}
 	ranking := rankingFromTable(table)
 	if key != "" {
-		cache.Put(key, wm, ranking.clone())
+		cache.Put(key, valid, ranking.clone())
 	}
 	return spec.trim(ranking), state, nil
 }

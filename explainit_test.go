@@ -17,7 +17,11 @@ var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 // tcp_retransmits and pipeline_runtime; several noise metrics distract.
 func seedClient(t *testing.T) (*Client, time.Time, time.Time) {
 	t.Helper()
-	c := New()
+	return seedStore(New())
+}
+
+// seedStore loads seedClient's incident into c.
+func seedStore(c *Client) (*Client, time.Time, time.Time) {
 	rng := rand.New(rand.NewSource(7))
 	n := 360
 	for i := 0; i < n; i++ {

@@ -23,9 +23,9 @@ func (c *Client) SuggestExplainRange(target string, threshold float64) (from, to
 // ANOMALY watcher gate: the target's most anomalous contiguous window as a
 // time range plus its severity (mean absolute robust z-score).
 func (c *Client) anomalousWindow(target string, threshold float64) (from, to time.Time, severity float64, ok bool, err error) {
-	f, exists := c.getFamily(target)
-	if !exists {
-		return time.Time{}, time.Time{}, 0, false, fmt.Errorf("%w: target family %q", ErrUnknownFamily, target)
+	f, err := c.reg.Load().family(target, "target family")
+	if err != nil {
+		return time.Time{}, time.Time{}, 0, false, err
 	}
 	if f.Index == nil {
 		return time.Time{}, time.Time{}, 0, false, fmt.Errorf("explainit: family %q has no time index", target)
@@ -72,26 +72,23 @@ type CausalStructure struct {
 // oriented as causes. maxConditioningSize bounds the search (1 is cheap
 // and usually sufficient; cost grows exponentially).
 func (c *Client) DiscoverStructure(target string, searchSpace []string, maxConditioningSize int) (*CausalStructure, error) {
-	tf, err := c.resolveFamily(target, "target family")
+	reg := c.reg.Load()
+	tf, err := reg.family(target, "target family")
 	if err != nil {
 		return nil, err
 	}
 	var candidates []*core.Family
-	if len(searchSpace) > 0 {
-		for _, name := range searchSpace {
-			f, err := c.resolveFamily(name, "search-space family")
-			if err != nil {
-				return nil, err
-			}
-			candidates = append(candidates, f)
+	for _, name := range searchSpace {
+		f, err := reg.family(name, "search-space family")
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		for _, name := range c.famOrderSnapshot() {
-			if name == target {
-				continue
-			}
-			if f, ok := c.getFamily(name); ok {
-				candidates = append(candidates, f)
+		candidates = append(candidates, f)
+	}
+	if len(searchSpace) == 0 {
+		for _, name := range reg.order {
+			if name != target {
+				candidates = append(candidates, reg.byName[name])
 			}
 		}
 	}

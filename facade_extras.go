@@ -23,7 +23,7 @@ func (c *Client) LoadLogs(r io.Reader) (lines, templates int, err error) {
 // "the user could specify lagged features from the past"). The augmented
 // family replaces the original under the same name.
 func (c *Client) Lag(family string, lags ...int) error {
-	f, err := c.resolveFamily(family, "family")
+	f, err := c.reg.Load().family(family, "family")
 	if err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func (c *Client) ExplainAdjusted(opts ExplainOptions, method Correction, alpha f
 	}
 	total := len(opts.SearchSpace)
 	if total == 0 {
-		total = c.numFamilies()
+		total = len(c.reg.Load().byName)
 	}
 	var m core.CorrectionMethod
 	switch method {
@@ -138,11 +138,12 @@ type MergedFamily struct {
 // candidate family against the target (Figures 14/15 in the paper): the
 // visual check that a single score cannot replace.
 func (c *Client) Overlay(target, candidate string, condition []string, width, height int) (string, error) {
-	y, err := c.resolveFamily(target, "target family")
+	reg := c.reg.Load()
+	y, err := reg.family(target, "target family")
 	if err != nil {
 		return "", err
 	}
-	x, err := c.resolveFamily(candidate, "candidate family")
+	x, err := reg.family(candidate, "candidate family")
 	if err != nil {
 		return "", err
 	}
@@ -150,7 +151,7 @@ func (c *Client) Overlay(target, candidate string, condition []string, width, he
 	if len(condition) > 0 {
 		fams := make([]*core.Family, 0, len(condition))
 		for _, name := range condition {
-			f, err := c.resolveFamily(name, "conditioning family")
+			f, err := reg.family(name, "conditioning family")
 			if err != nil {
 				return "", err
 			}

@@ -158,9 +158,7 @@ func TestBuildFamiliesDuringOutOfOrderWrites(t *testing.T) {
 
 // registrySnapshot returns the registry's families sorted by name.
 func (c *Client) registrySnapshot() []*core.Family {
-	c.famMu.RLock()
-	defer c.famMu.RUnlock()
-	return slices.Clone(c.famByName)
+	return c.reg.Load().sorted
 }
 
 // sameFamilyBits reports the first difference between two registries:

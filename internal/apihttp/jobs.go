@@ -217,6 +217,40 @@ func writeSSE(w http.ResponseWriter, name string, data interface{}) error {
 	return err
 }
 
+// openSSE starts a server-sent-events response: it checks that w can
+// stream, then sends and flushes the event-stream headers. Idle streams
+// write a keepalive frame on every tick of the returned channel, so proxies
+// and load balancers with idle timeouts don't reap a live connection; the
+// channel is nil (never fires) when Limits.SSEKeepalive is off. Call stop
+// when the stream ends. ok is false, with the error written, when w cannot
+// stream.
+func (s *Server) openSSE(w http.ResponseWriter) (flusher http.Flusher, keepalive <-chan time.Time, stop func(), ok bool) {
+	if flusher, ok = w.(http.Flusher); !ok {
+		writeErrorCode(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
+		return nil, nil, nil, false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	stop = func() {}
+	if s.limits.SSEKeepalive > 0 {
+		ticker := time.NewTicker(s.limits.SSEKeepalive)
+		keepalive, stop = ticker.C, ticker.Stop
+	}
+	return flusher, keepalive, stop, true
+}
+
+// writeKeepalive writes and flushes one ": keepalive" frame — the SSE
+// grammar's comment line, which clients discard.
+func writeKeepalive(w http.ResponseWriter, flusher http.Flusher) error {
+	_, err := fmt.Fprint(w, ": keepalive\n\n")
+	flusher.Flush()
+	return err
+}
+
 // handleJobEvents streams one job as server-sent events: a "row" event per
 // scored candidate (replayed from the start for late subscribers), then
 // one terminal "done" (completed ranking) or "error" event. A client that
@@ -233,28 +267,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	flusher, keepaliveC, stop, ok := s.openSSE(w)
 	if !ok {
-		writeErrorCode(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	// Idle streams emit ": keepalive" comment frames — the SSE grammar's
-	// comment line, which clients discard — so proxies and load balancers
-	// with idle timeouts don't reap a connection whose job is still
-	// scoring. A nil channel (keepalives disabled) never fires.
-	var keepaliveC <-chan time.Time
-	if s.limits.SSEKeepalive > 0 {
-		ticker := time.NewTicker(s.limits.SSEKeepalive)
-		defer ticker.Stop()
-		keepaliveC = ticker.C
-	}
+	defer stop()
 
 	sent := 0
 	for {
@@ -288,11 +305,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-waitCh:
 		case <-keepaliveC:
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
+			if err := writeKeepalive(w, flusher); err != nil {
 				j.cancelIfRunning()
 				return
 			}
-			flusher.Flush()
 		case <-r.Context().Done():
 			// Client disconnected mid-stream: reap the job's workers.
 			j.cancelIfRunning()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"explainit"
 	"explainit/internal/obs"
 )
 
@@ -203,53 +205,71 @@ func TestStatsReportBuildInfo(t *testing.T) {
 	}
 }
 
-// TestSSEKeepalive pins the keepalive frame format — a ": keepalive"
-// comment line plus a blank line, which SSE clients must discard — and
-// checks that keepalive frames interleaved into a live stream don't corrupt
-// the row replay: the stream still delivers every row exactly once and the
-// terminal event parses.
-func TestSSEKeepalive(t *testing.T) {
-	srv, c := seedServer(t, 3000, 32, 16)
-	// A second server over the same client, with an aggressive keepalive so
-	// several frames land while scoring workers grind.
-	fast := NewServerWithLimits(c, Limits{SSEKeepalive: 10 * time.Millisecond})
-	t.Cleanup(func() { fast.Close() })
-	_ = srv
+// readKeepalives reads n ": keepalive" frames — a comment line plus a
+// blank line, which SSE clients must discard — failing on any other frame:
+// the stream is idle while they arrive.
+func readKeepalives(t *testing.T, rd *bufio.Reader, n int) {
+	t.Helper()
+	for got := 0; got < n; {
+		line, err := rd.ReadString('\n')
+		if err != nil {
+			t.Fatalf("stream ended after %d keepalives: %v", got, err)
+		}
+		switch line = strings.TrimRight(line, "\n"); line {
+		case ": keepalive":
+			got++
+		case "":
+		default:
+			t.Fatalf("idle stream carried %q", line)
+		}
+	}
+}
 
-	ts := httptest.NewServer(fast)
+// TestSSEKeepalive pins the keepalive frame format on an idle job stream,
+// and checks that keepalive frames ahead of the rows don't corrupt the row
+// replay: the stream still delivers every row exactly once and the
+// terminal event parses. The job runs over a test-owned update channel
+// that stays idle until two keepalives were read, so the check does not
+// depend on how long a ranking takes.
+func TestSSEKeepalive(t *testing.T) {
+	srv := NewServerWithLimits(explainit.New(), Limits{SSEKeepalive: 10 * time.Millisecond})
+	t.Cleanup(func() { srv.Close() })
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	w := doJSON(t, fast, http.MethodPost, "/api/v1/investigations",
-		createInvestigationRequest{Target: "pipeline_runtime", Seed: 1, Workers: 1})
-	var inv investigationPayload
-	decodeBody(t, w, &inv)
-	w = doJSON(t, fast, http.MethodPost, "/api/v1/investigations/"+inv.ID+"/step", nil)
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("step: %d %s", w.Code, w.Body.String())
-	}
-	var j jobPayload
-	decodeBody(t, w, &j)
-
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/events")
+	updates := make(chan explainit.RankUpdate)
+	j := srv.launchJob("", func() {}, nil, updates)
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + j.id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	rd := bufio.NewReader(resp.Body)
+	readKeepalives(t, rd, 2)
 
-	var rows, keepalives int
+	want := &explainit.Ranking{}
+	for i := range 5 {
+		want.Rows = append(want.Rows, explainit.RankedFamily{Rank: i + 1, Family: fmt.Sprintf("f%d", i), Features: 1, Score: 1 / float64(i+1)})
+	}
+	for i, row := range want.Rows {
+		row.Rank = 0
+		updates <- explainit.RankUpdate{Row: &row, Scored: i + 1, Total: len(want.Rows)}
+	}
+	updates <- explainit.RankUpdate{Final: want, Scored: len(want.Rows), Total: len(want.Rows)}
+	close(updates)
+
+	var rows int
 	var final *rankingPayload
 	var event string
 	var data []byte
 	for final == nil {
 		line, err := rd.ReadString('\n')
 		if err != nil {
-			t.Fatalf("stream ended early: %v (rows %d keepalives %d)", err, rows, keepalives)
+			t.Fatalf("stream ended early: %v (rows %d)", err, rows)
 		}
 		line = strings.TrimRight(line, "\n")
 		switch {
 		case line == ": keepalive":
-			keepalives++
 		case strings.HasPrefix(line, ": "):
 			t.Fatalf("unexpected comment frame %q", line)
 		case strings.HasPrefix(line, "event: "):
@@ -276,22 +296,19 @@ func TestSSEKeepalive(t *testing.T) {
 			t.Fatalf("unparseable SSE line %q", line)
 		}
 	}
-	if keepalives == 0 {
-		t.Fatal("no keepalive frames on a multi-second stream")
-	}
-	if rows == 0 || len(final.Rows) == 0 {
-		t.Fatalf("rows %d final %+v", rows, final)
+	if rows != len(want.Rows) || len(final.Rows) != len(want.Rows) {
+		t.Fatalf("rows %d final %+v, want %d", rows, final, len(want.Rows))
 	}
 
 	// High-watermark replay integrity: a late subscriber gets exactly the
 	// same rows, keepalives notwithstanding.
-	w = doJSON(t, fast, http.MethodGet, "/api/v1/jobs/"+j.ID, nil)
+	w := doJSON(t, srv, http.MethodGet, "/api/v1/jobs/"+j.id, nil)
 	var done jobPayload
 	decodeBody(t, w, &done)
 	if done.Scored != rows {
 		t.Fatalf("streamed %d rows, job scored %d", rows, done.Scored)
 	}
-	resp2, err := http.Get(ts.URL + "/api/v1/jobs/" + j.ID + "/events")
+	resp2, err := http.Get(ts.URL + "/api/v1/jobs/" + j.id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

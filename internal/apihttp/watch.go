@@ -134,24 +134,11 @@ func (s *Server) handleWatchEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer unsub()
-	flusher, ok := w.(http.Flusher)
+	flusher, keepaliveC, stop, ok := s.openSSE(w)
 	if !ok {
-		writeErrorCode(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	var keepaliveC <-chan time.Time
-	if s.limits.SSEKeepalive > 0 {
-		ticker := time.NewTicker(s.limits.SSEKeepalive)
-		defer ticker.Stop()
-		keepaliveC = ticker.C
-	}
+	defer stop()
 	for {
 		select {
 		case u, open := <-ch:
@@ -167,10 +154,9 @@ func (s *Server) handleWatchEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			flusher.Flush()
 		case <-keepaliveC:
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
+			if err := writeKeepalive(w, flusher); err != nil {
 				return
 			}
-			flusher.Flush()
 		case <-r.Context().Done():
 			return
 		case <-s.baseCtx.Done():

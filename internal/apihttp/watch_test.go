@@ -186,6 +186,39 @@ func TestWatchSSEDeliversUpdatesAndGone(t *testing.T) {
 	}
 }
 
+// TestWatchSSEKeepalive: an idle watch stream — an EVERY '1h' watcher
+// after its replayed update — carries keepalive frames and nothing else,
+// and still ends with "gone" when the watcher is cancelled.
+func TestWatchSSEKeepalive(t *testing.T) {
+	srv, c := seedServerWithLimits(t, Limits{SessionTTL: -1, SSEKeepalive: 10 * time.Millisecond})
+	t.Cleanup(c.CloseWatches)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	w := doJSON(t, srv, http.MethodPost, "/api/v1/watch", createWatchRequest{SQL: "EXPLAIN target EVERY '1h'"})
+	var info explainit.WatchInfo
+	decodeBody(t, w, &info)
+	waitWatchEmit(t, srv, info.ID)
+
+	resp, err := http.Get(ts.URL + "/api/v1/watch/" + info.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
+	if name, data, err := readSSE(rd); err != nil || name != "update" {
+		t.Fatalf("first event %q (%s): %v", name, data, err)
+	}
+	readKeepalives(t, rd, 2)
+
+	if dw := doJSON(t, srv, http.MethodDelete, "/api/v1/watch/"+info.ID, nil); dw.Code != http.StatusOK {
+		t.Fatalf("delete: %d", dw.Code)
+	}
+	if name, _, err := readSSE(rd); err != nil || name != "gone" {
+		t.Fatalf("terminal event %q: %v", name, err)
+	}
+}
+
 // TestWatchSSEDisconnectLeavesWatcherRunning: unlike job streams, a watch
 // subscriber hanging up must NOT cancel the standing query — and the
 // detached subscriber's goroutines must drain.

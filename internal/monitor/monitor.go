@@ -1,13 +1,14 @@
 // Package monitor is the standing-query subsystem: it keeps compiled
 // EXPLAIN plans materialized and re-evaluates them on a cadence, but only
-// when the store could have changed — a tick where no covered watermark
-// advanced performs no engine work at all — and only emits to subscribers
-// when the ranking actually changed (order, membership, or a score moving
-// beyond a configurable epsilon). This turns the pull-based RCA query of
-// the paper into the push-based monitoring backend of ROADMAP item 2.
+// when a ranking could have changed — a tick where the backend's
+// generation did not advance performs no engine work at all — and only
+// emits to subscribers when the ranking actually changed (order,
+// membership, or a score moving beyond a configurable epsilon). This turns
+// the pull-based RCA query of the paper into the push-based monitoring
+// backend of ROADMAP item 2.
 //
 // The package is deliberately engine-agnostic: everything it needs from
-// the facade — watermark snapshots, one-shot evaluation, the cheap anomaly
+// the facade — the generation, one-shot evaluation, the cheap anomaly
 // pre-scan, and investigation lifecycle — arrives through the Backend
 // interface, so the subsystem is testable with a fake and free of import
 // cycles.
@@ -85,15 +86,15 @@ type Update struct {
 
 // Backend is what the monitor needs from the engine facade.
 type Backend interface {
-	// WatchWatermarks snapshots every source of ranking change: the
-	// per-shard ingest sequences plus the family-registry generation
-	// (family matrices are materialized at build time, so ingest alone
-	// cannot change a ranking until families are rebuilt — but a rebuild
-	// without new ingest must still invalidate).
-	WatchWatermarks() []uint64
+	// Generation names everything Evaluate and AnomalyScan read; it moves
+	// whenever their answer could change. The facade returns its
+	// family-registry generation: family matrices are materialized at
+	// build time, so ingest alone cannot change a ranking until families
+	// are rebuilt.
+	Generation() uint64
 	// Evaluate runs the standing plan as a one-shot EXPLAIN — the exact
 	// arithmetic path an ad-hoc query takes, so emitted rankings are
-	// bitwise identical to a fresh EXPLAIN at the same watermark.
+	// bitwise identical to a fresh EXPLAIN at the same generation.
 	Evaluate(ctx context.Context, q Query) ([]Row, error)
 	// AnomalyScan cheaply scans the target for its most anomalous window.
 	AnomalyScan(ctx context.Context, q Query) (AnomalyHit, bool, error)
@@ -320,7 +321,7 @@ func (m *Manager) Close() {
 }
 
 // Watcher is one standing query's registry entry: the compiled plan, the
-// last watermark snapshot and emitted ranking, and the subscriber fan-out.
+// last evaluated generation and emitted ranking, and the subscriber fan-out.
 type Watcher struct {
 	id      string
 	q       Query
@@ -335,7 +336,7 @@ type Watcher struct {
 	mu        sync.Mutex
 	subs      map[int]chan Update
 	nextSub   int
-	lastWM    []uint64
+	lastGen   uint64
 	evaluated bool
 	ranked    bool
 	lastRows  []Row
@@ -474,7 +475,7 @@ func (w *Watcher) teardown() {
 	close(w.done)
 }
 
-// Tick runs one re-evaluation round synchronously: watermark gate →
+// Tick runs one re-evaluation round synchronously: generation gate →
 // (optional) anomaly gate → evaluate → diff → emit. It is what the timer
 // loop calls, exposed so tests and callers drive deterministic rounds.
 func (w *Watcher) Tick(ctx context.Context) {
@@ -486,13 +487,13 @@ func (w *Watcher) Tick(ctx context.Context) {
 	defer metTickMs.ObserveSince(start)
 	metTicks.Inc()
 
-	// Snapshot BEFORE evaluating: a write that lands mid-evaluation makes
-	// this snapshot stale and re-triggers next tick — the race errs toward
-	// re-evaluation, never toward a missed change.
-	wm := w.mgr.backend.WatchWatermarks()
+	// Read BEFORE evaluating: a rebuild that lands mid-evaluation moves the
+	// generation past this one and re-triggers next tick — the race errs
+	// toward re-evaluation, never toward a missed change.
+	gen := w.mgr.backend.Generation()
 	w.mu.Lock()
 	w.ticks++
-	unchanged := w.evaluated && equalU64(w.lastWM, wm)
+	unchanged := w.evaluated && w.lastGen == gen
 	if unchanged {
 		w.skips++
 	}
@@ -508,15 +509,15 @@ func (w *Watcher) Tick(ctx context.Context) {
 	if q.OnAnomaly {
 		h, fired, err := w.mgr.backend.AnomalyScan(ctx, q)
 		if err != nil {
-			w.noteError(wm, err)
+			w.noteError(gen, err)
 			return
 		}
 		if !fired {
-			// Quiet target: the data moved but nothing is anomalous. Mark
-			// the watermark seen so the next quiet tick is free.
+			// Quiet target: the families moved but nothing is anomalous.
+			// Mark the generation seen so the next quiet tick is free.
 			metAnomalyQuiet.Inc()
 			w.mu.Lock()
-			w.lastWM = wm
+			w.lastGen = gen
 			w.evaluated = true
 			w.mu.Unlock()
 			return
@@ -539,14 +540,14 @@ func (w *Watcher) Tick(ctx context.Context) {
 		if ctx.Err() != nil {
 			return // cancelled mid-tick: not an evaluation failure
 		}
-		w.noteError(wm, err)
+		w.noteError(gen, err)
 		return
 	}
 
 	w.mu.Lock()
 	w.evals++
 	w.evalMs.Push(evalMs)
-	w.lastWM = wm
+	w.lastGen = gen
 	w.evaluated = true
 	reason, changed := diffRankings(w.lastRows, w.ranked, rows, w.mgr.opts.Epsilon)
 	w.ranked = true
@@ -589,13 +590,13 @@ func (w *Watcher) Tick(ctx context.Context) {
 	}
 }
 
-// noteError emits an error update (once per watermark change: the stale
-// snapshot is recorded so an unchanged store does not re-fail every tick).
-func (w *Watcher) noteError(wm []uint64, err error) {
+// noteError emits an error update (once per generation: it is recorded so
+// unchanged families do not re-fail every tick).
+func (w *Watcher) noteError(gen uint64, err error) {
 	metErrs.Inc()
 	w.mu.Lock()
 	w.errs++
-	w.lastWM = wm
+	w.lastGen = gen
 	w.evaluated = true
 	w.seq++
 	upd := Update{
@@ -671,18 +672,6 @@ func sameFamilySet(a, b []Row) bool {
 	for _, r := range b {
 		set[r.Family]--
 		if set[r.Family] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

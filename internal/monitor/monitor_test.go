@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// fakeBackend is a scriptable engine: tests advance its watermark and swap
+// fakeBackend is a scriptable engine: tests advance its generation and swap
 // the ranking it returns, then drive watcher ticks deterministically.
 type fakeBackend struct {
 	mu        sync.Mutex
-	wm        []uint64
+	gen       uint64
 	rows      []Row
 	evalErr   error
 	evals     int
@@ -26,15 +26,13 @@ type fakeBackend struct {
 }
 
 func newFakeBackend() *fakeBackend {
-	return &fakeBackend{wm: []uint64{1, 1}, rows: []Row{{Rank: 1, Family: "a", Score: 1.0}}}
+	return &fakeBackend{gen: 1, rows: []Row{{Rank: 1, Family: "a", Score: 1.0}}}
 }
 
-func (f *fakeBackend) WatchWatermarks() []uint64 {
+func (f *fakeBackend) Generation() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]uint64, len(f.wm))
-	copy(out, f.wm)
-	return out
+	return f.gen
 }
 
 func (f *fakeBackend) Evaluate(ctx context.Context, q Query) ([]Row, error) {
@@ -74,7 +72,7 @@ func (f *fakeBackend) CloseInvestigation(id string) { atomic.AddInt32(&f.invClos
 
 func (f *fakeBackend) advance() {
 	f.mu.Lock()
-	f.wm[0]++
+	f.gen++
 	f.mu.Unlock()
 }
 
@@ -137,7 +135,7 @@ func TestWatcherEmitsInitialThenGatesOnWatermark(t *testing.T) {
 		t.Fatalf("evals = %d, want 1", b.evalCount())
 	}
 
-	// No watermark advance: the tick must do no engine work at all.
+	// No generation advance: the tick must do no engine work at all.
 	w.Tick(ctx)
 	w.Tick(ctx)
 	if b.evalCount() != 1 {
@@ -148,7 +146,7 @@ func TestWatcherEmitsInitialThenGatesOnWatermark(t *testing.T) {
 		t.Fatalf("counters: %+v", info)
 	}
 
-	// Advance the watermark but keep the ranking identical: evaluates, does
+	// Advance the generation but keep the ranking identical: evaluates, does
 	// not emit.
 	b.advance()
 	w.Tick(ctx)
@@ -261,13 +259,13 @@ func TestAnomalyGate(t *testing.T) {
 	if b.evalCount() != 0 {
 		t.Fatal("quiet anomaly tick ran EXPLAIN")
 	}
-	// Quiet tick recorded the watermark: the next tick is fully free.
+	// Quiet tick recorded the generation: the next tick is fully free.
 	w.Tick(ctx)
 	b.mu.Lock()
 	scans := b.scans
 	b.mu.Unlock()
 	if scans != 1 {
-		t.Fatalf("scans = %d, want 1 (second tick should skip on watermark)", scans)
+		t.Fatalf("scans = %d, want 1 (second tick should skip on generation)", scans)
 	}
 
 	// A window fires: evaluation runs, the update carries the window and an
@@ -331,12 +329,12 @@ func TestErrorEmitsOncePerWatermark(t *testing.T) {
 	if u.Reason != "error" || u.Err == nil {
 		t.Fatalf("got %+v, want error update", u)
 	}
-	// Same watermark: no retry, no second error.
+	// Same generation: no retry, no second error.
 	w.Tick(ctx)
 	if b.evalCount() != 1 {
-		t.Fatalf("retried on unchanged watermark: evals = %d", b.evalCount())
+		t.Fatalf("retried on unchanged generation: evals = %d", b.evalCount())
 	}
-	// Watermark advance retries; recovery emits the ranking as "initial"
+	// Generation advance retries; recovery emits the ranking as "initial"
 	// (no prior good ranking).
 	b.mu.Lock()
 	b.evalErr = nil
@@ -420,7 +418,7 @@ func TestSubscriberChannelClosesOnCancel(t *testing.T) {
 }
 
 // TestConcurrentTicksAndSubscribers hammers one watcher from many
-// goroutines under -race: manual ticks, churn of subscribers, watermark
+// goroutines under -race: manual ticks, churn of subscribers, generation
 // advances, and a concurrent cancel.
 func TestConcurrentTicksAndSubscribers(t *testing.T) {
 	b := newFakeBackend()

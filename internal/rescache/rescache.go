@@ -1,40 +1,24 @@
-// Package rescache memoizes completed ranking results. A conditioned query
-// — target, conditioning set, candidate space, scorer, time range — is a
-// first-class, reusable object: dashboards re-issue the same
-// `EXPLAIN ... GIVEN ...` every refresh, and over unchanged data the answer
-// cannot change. The cache stores each completed result together with the
-// store's per-shard ingest watermarks at compute time (tsdb.DB.Watermarks);
-// a lookup is a hit only when every shard's watermark still matches, so a
-// single Put, PutBatch partition, or pruning Retain anywhere in the store
-// invalidates every result computed before it. That makes staleness
-// structurally impossible: the cache can serve an identical ranking or no
-// ranking, never an outdated one.
+// Package rescache is the bounded LRU behind the facade's result caches.
+// Each entry is stored together with a validator — a []uint64 snapshot of
+// whatever the value was computed from — and a lookup is a hit only when
+// the caller's current validator equals the stored one; a mismatch evicts
+// the entry. The facade's ranking cache validates by the family-registry
+// generation (one element: rankings read only the registry), and its SQL
+// scan cache by the store's per-shard ingest watermarks (tsdb.DB.Watermarks:
+// scans read the store). Either way the cache can serve an identical value
+// or no value, never an outdated one.
 //
-// Entries are kept in a bounded LRU. Values are opaque to the package; the facade stores immutable
-// *Ranking snapshots.
+// Values are opaque to the package; the facade stores immutable snapshots.
 package rescache
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
-
-	"explainit/internal/obs"
 )
 
-// Process-wide obs counters, aggregated across every Cache instance (the
-// facade owns one per client; the self-scraped hit-ratio series is about
-// the process). Unlike the per-cache Stats atomics, a probe against a
-// disabled cache counts as an obs miss: the request did probe and did not
-// get a ranking, which is exactly the signal a mid-run cache outage must
-// leave in explainit_cache_hit_ratio.
-var (
-	metHits        = obs.Default().Counter("explainit_ranking_cache_hits_total")
-	metMisses      = obs.Default().Counter("explainit_ranking_cache_misses_total")
-	metInvalidated = obs.Default().Counter("explainit_ranking_cache_invalidated_total")
-)
-
-// Cache is a bounded, watermark-validated LRU. A Cache with capacity <= 0
+// Cache is a bounded, validator-checked LRU. A Cache with capacity <= 0
 // is disabled: every Get misses, every Put is dropped — the knob
 // benchmarks use to measure the uncached engine. The zero value is
 // disabled; construct with New. Safe for concurrent use.
@@ -50,13 +34,13 @@ type Cache struct {
 }
 
 type entry struct {
-	key string
-	wm  []uint64
-	val any
+	key   string
+	valid []uint64
+	val   any
 }
 
 // Stats is a point-in-time counter snapshot. Hits + Misses is the total
-// lookup count; Invalidated counts entries evicted by a watermark mismatch
+// lookup count; Invalidated counts entries evicted by a validator mismatch
 // (each such lookup also counts as a miss).
 type Stats struct {
 	Hits        uint64 `json:"hits"`
@@ -79,46 +63,42 @@ func New(cap int) *Cache {
 // Enabled reports whether the cache stores anything at all.
 func (c *Cache) Enabled() bool { return c != nil && c.cap > 0 }
 
-// Get returns the value stored under key, provided it was computed at the
-// given watermark snapshot. An entry whose stored watermarks differ from wm
-// was computed before some shard mutated: it is removed (counted as
-// invalidated) and the lookup misses.
-func (c *Cache) Get(key string, wm []uint64) (any, bool) {
+// Get returns the value stored under key, provided it was stored with the
+// validator valid. An entry whose stored validator differs was computed
+// from inputs that have since changed: it is removed (counted as
+// invalidated, reported by stale) and the lookup misses. A disabled cache
+// counts nothing.
+func (c *Cache) Get(key string, valid []uint64) (v any, hit, stale bool) {
 	if !c.Enabled() {
-		metMisses.Inc()
-		return nil, false
+		return nil, false, false
 	}
 	c.mu.Lock()
 	el, ok := c.m[key]
 	if !ok {
 		c.mu.Unlock()
 		c.misses.Add(1)
-		metMisses.Inc()
-		return nil, false
+		return nil, false, false
 	}
 	e := el.Value.(*entry)
-	if !watermarksEqual(e.wm, wm) {
+	if !slices.Equal(e.valid, valid) {
 		c.ll.Remove(el)
 		delete(c.m, key)
 		c.mu.Unlock()
 		c.invalidated.Add(1)
 		c.misses.Add(1)
-		metInvalidated.Inc()
-		metMisses.Inc()
-		return nil, false
+		return nil, false, true
 	}
 	c.ll.MoveToFront(el)
-	v := e.val
+	v = e.val
 	c.mu.Unlock()
 	c.hits.Add(1)
-	metHits.Inc()
-	return v, true
+	return v, true, false
 }
 
-// Put stores val under key as computed at watermark snapshot wm, replacing
-// any existing entry. The caller must not mutate val (or wm) afterwards —
-// the facade stores defensive snapshots.
-func (c *Cache) Put(key string, wm []uint64, val any) {
+// Put stores val under key with validator valid, replacing any existing
+// entry. The caller must not mutate val (or valid) afterwards — the facade
+// stores defensive snapshots.
+func (c *Cache) Put(key string, valid []uint64, val any) {
 	if !c.Enabled() {
 		return
 	}
@@ -126,11 +106,11 @@ func (c *Cache) Put(key string, wm []uint64, val any) {
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		e := el.Value.(*entry)
-		e.wm, e.val = wm, val
+		e.valid, e.val = valid, val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&entry{key: key, wm: wm, val: val})
+	c.m[key] = c.ll.PushFront(&entry{key: key, valid: valid, val: val})
 	if c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
@@ -148,19 +128,6 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Purge drops every entry (counters are kept).
-func (c *Cache) Purge() {
-	if !c.Enabled() {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	for k := range c.m {
-		delete(c.m, k)
-	}
-}
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -172,16 +139,4 @@ func (c *Cache) Stats() Stats {
 		Invalidated: c.invalidated.Load(),
 		Entries:     c.Len(),
 	}
-}
-
-func watermarksEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -9,16 +9,16 @@ import (
 func TestHitRequiresMatchingWatermarks(t *testing.T) {
 	c := New(8)
 	c.Put("k", []uint64{1, 2}, "v")
-	if v, ok := c.Get("k", []uint64{1, 2}); !ok || v != "v" {
-		t.Fatalf("Get = %v, %v; want v, true", v, ok)
+	if v, ok, stale := c.Get("k", []uint64{1, 2}); !ok || stale || v != "v" {
+		t.Fatalf("Get = %v, %v, %v; want v, true, false", v, ok, stale)
 	}
-	// Any shard moving invalidates; the entry must be gone afterwards, not
-	// resurrectable by presenting the old snapshot again.
-	if _, ok := c.Get("k", []uint64{1, 3}); ok {
-		t.Fatal("stale watermark served")
+	// Any element moving invalidates; the entry must be gone afterwards,
+	// not resurrectable by presenting the old snapshot again.
+	if _, ok, stale := c.Get("k", []uint64{1, 3}); ok || !stale {
+		t.Fatalf("stale validator: hit %v, stale %v", ok, stale)
 	}
-	if _, ok := c.Get("k", []uint64{1, 2}); ok {
-		t.Fatal("invalidated entry resurrected")
+	if _, ok, stale := c.Get("k", []uint64{1, 2}); ok || stale {
+		t.Fatalf("invalidated entry: hit %v, stale %v", ok, stale)
 	}
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 2 || s.Invalidated != 1 || s.Entries != 0 {
@@ -29,7 +29,7 @@ func TestHitRequiresMatchingWatermarks(t *testing.T) {
 func TestWatermarkLengthMismatchIsStale(t *testing.T) {
 	c := New(8)
 	c.Put("k", []uint64{1}, "v")
-	if _, ok := c.Get("k", []uint64{1, 0}); ok {
+	if _, ok, _ := c.Get("k", []uint64{1, 0}); ok {
 		t.Fatal("snapshot with different shard count served")
 	}
 }
@@ -39,14 +39,14 @@ func TestLRUEviction(t *testing.T) {
 	wm := []uint64{0}
 	c.Put("a", wm, 1)
 	c.Put("b", wm, 2)
-	if _, ok := c.Get("a", wm); !ok { // touch a: b becomes LRU
+	if _, ok, _ := c.Get("a", wm); !ok { // touch a: b becomes LRU
 		t.Fatal("a missing")
 	}
 	c.Put("c", wm, 3)
-	if _, ok := c.Get("b", wm); ok {
+	if _, ok, _ := c.Get("b", wm); ok {
 		t.Fatal("LRU entry b not evicted")
 	}
-	if _, ok := c.Get("a", wm); !ok {
+	if _, ok, _ := c.Get("a", wm); !ok {
 		t.Fatal("recently used a evicted")
 	}
 	if c.Len() != 2 {
@@ -58,7 +58,7 @@ func TestPutReplaces(t *testing.T) {
 	c := New(4)
 	c.Put("k", []uint64{1}, "old")
 	c.Put("k", []uint64{2}, "new")
-	if v, ok := c.Get("k", []uint64{2}); !ok || v != "new" {
+	if v, ok, _ := c.Get("k", []uint64{2}); !ok || v != "new" {
 		t.Fatalf("Get = %v, %v", v, ok)
 	}
 	if c.Len() != 1 {
@@ -69,7 +69,7 @@ func TestPutReplaces(t *testing.T) {
 func TestDisabledCache(t *testing.T) {
 	for _, c := range []*Cache{New(0), New(-1), {}} {
 		c.Put("k", []uint64{1}, "v")
-		if _, ok := c.Get("k", []uint64{1}); ok {
+		if _, ok, _ := c.Get("k", []uint64{1}); ok {
 			t.Fatal("disabled cache served a value")
 		}
 		if c.Enabled() {
@@ -78,7 +78,6 @@ func TestDisabledCache(t *testing.T) {
 		if c.Len() != 0 {
 			t.Fatal("Len != 0")
 		}
-		c.Purge() // must not panic
 	}
 	var nilCache *Cache
 	if nilCache.Enabled() {
@@ -89,21 +88,7 @@ func TestDisabledCache(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(4)
-	c.Put("a", []uint64{1}, 1)
-	c.Put("b", []uint64{1}, 2)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after Purge", c.Len())
-	}
-	if _, ok := c.Get("a", []uint64{1}); ok {
-		t.Fatal("purged entry served")
-	}
-}
-
-// TestConcurrentStress races hits, misses, puts, invalidating gets and
-// purges; run under -race this is the package-level half of the cache
+// TestConcurrentStress races hits, misses, puts and invalidating gets; run under -race this is the package-level half of the cache
 // stress coverage (the facade has an end-to-end twin).
 func TestConcurrentStress(t *testing.T) {
 	c := New(16)
@@ -119,7 +104,7 @@ func TestConcurrentStress(t *testing.T) {
 				case 0:
 					c.Put(key, wm, i)
 				case 1:
-					if v, ok := c.Get(key, wm); ok {
+					if v, ok, _ := c.Get(key, wm); ok {
 						if _, isInt := v.(int); !isInt {
 							t.Errorf("corrupt value %v", v)
 							return
@@ -128,9 +113,6 @@ func TestConcurrentStress(t *testing.T) {
 				default:
 					c.Len()
 					c.Stats()
-					if i%97 == 0 {
-						c.Purge()
-					}
 				}
 			}
 		}(g)

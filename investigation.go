@@ -95,10 +95,8 @@ type Investigation struct {
 // and pinned now: rebuilding families mid-session changes future steps'
 // candidates but never the session's target or cached conditioning work.
 func (c *Client) NewInvestigation(target string, opts InvestigateOptions) (*Investigation, error) {
-	c.famMu.RLock()
-	fam, err := c.familyLocked(target, "target family")
-	gen := c.famGen
-	c.famMu.RUnlock()
+	reg := c.reg.Load()
+	fam, err := reg.family(target, "target family")
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +108,7 @@ func (c *Client) NewInvestigation(target string, opts InvestigateOptions) (*Inve
 		target:     fam,
 		targetName: target,
 		opts:       opts,
-		gen:        gen,
+		gen:        reg.gen,
 		condFams:   make(map[string]*core.Family),
 		states:     make(map[string]*core.CondState),
 	}
@@ -135,9 +133,10 @@ func (inv *Investigation) Target() string { return inv.targetName }
 // already in the set are ignored; unknown names fail with
 // ErrUnknownFamily and leave the set unchanged.
 func (inv *Investigation) Condition(families ...string) error {
+	reg := inv.client.reg.Load()
 	resolved := make(map[string]*core.Family, len(families))
 	for _, name := range families {
-		f, err := inv.client.resolveFamily(name, "conditioning family")
+		f, err := reg.family(name, "conditioning family")
 		if err != nil {
 			return err
 		}

@@ -51,13 +51,9 @@ const SelfScrapeMetricPrefix = "explainit_"
 // per-interval deltas, gauges pass through, histograms become the interval
 // mean plus a _count delta, and the derived explainit_cache_hit_ratio
 // series is registered here. Drive it with Run (explainitd -self-scrape)
-// or ScrapeOnce (tests, synthetic clocks).
-//
-// Note the feedback loop: each scrape's PutBatch bumps shard watermarks,
-// which invalidates all cached rankings — by design, since cached results
-// must never outlive a write. Dashboards re-issuing EXPLAINs over a
-// self-scraping store therefore miss the ranking cache about once per
-// interval; see DESIGN.md for the trade-off.
+// or ScrapeOnce (tests, synthetic clocks). A scrape's PutBatch leaves
+// cached rankings valid: they are keyed to the family registry, which only
+// a rebuild replaces.
 func (c *Client) NewSelfScraper() *obs.Scraper {
 	sc := obs.NewScraper(obs.Default(), obs.SinkFunc(func(samples []obs.Sample) error {
 		batch := make([]Observation, len(samples))

@@ -57,9 +57,9 @@ func TestSelfRCAEndToEnd(t *testing.T) {
 
 	serve := func() {
 		// Five identical EXPLAINs per interval. While the cache is healthy
-		// the first (invalidated by the previous scrape's own PutBatch —
-		// the documented watermark feedback loop) recomputes and the rest
-		// hit, so the interval's mean latency is dominated by cheap hits.
+		// they all hit (a scrape's PutBatch leaves the family registry, the
+		// ranking cache's one key, as it was), so the interval's latency is
+		// that of cheap hits.
 		for i := 0; i < 5; i++ {
 			if _, err := c.Explain(ExplainOptions{Target: "pipeline_runtime", Seed: 1}); err != nil {
 				t.Fatal(err)

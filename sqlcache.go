@@ -3,6 +3,7 @@ package explainit
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // SQL-layer caches. Two distinct keyings, deliberately separate from the
-// PR-6 ranking cache (cache.go):
+// ranking cache (cache.go):
 //
 //   - The plan cache maps SQL text to its compiled physical plan. Plans
 //     are derived from the statement text and the (fixed) tsdb catalog
@@ -22,8 +23,8 @@ import (
 //     can at worst flip a hash-join build side, never change results.
 //   - The scan cache maps a pushed-down scan's canonical ScanSpec key to
 //     the materialized relation, validated against the store's ingest
-//     watermarks exactly like the ranking cache: any Put or Retain on any
-//     shard invalidates on next probe. This is what lets twenty
+//     watermarks — it is the one cache that reads the store, so any Put or
+//     Retain on any shard invalidates on next probe. This is what lets twenty
 //     near-identical dashboard queries arriving over time (not just within
 //     one statement batch — that case is handled by the executor's CSE
 //     sharing) touch the store once.
@@ -48,20 +49,16 @@ const defaultSQLScanCacheCap = 32
 // sound only because every caller plans against the same catalog shape.
 func (c *Client) planFor(query string, stmt sqlparse.Statement, cat sqlexec.Catalog) (*sqlexec.Plan, error) {
 	cache := c.sqlPlans.Load()
-	if cache.Enabled() {
-		if v, ok := cache.Get(query, nil); ok {
-			metSQLPlanHits.Inc()
-			return v.(*sqlexec.Plan), nil
-		}
+	if v, ok, _ := cache.Get(query, nil); ok {
+		metSQLPlanHits.Inc()
+		return v.(*sqlexec.Plan), nil
 	}
 	metSQLPlanMisses.Inc()
 	plan, err := sqlexec.PlanStatement(stmt, cat)
 	if err != nil {
 		return nil, err
 	}
-	if cache.Enabled() {
-		cache.Put(query, nil, plan)
-	}
+	cache.Put(query, nil, plan)
 	return plan, nil
 }
 
@@ -124,7 +121,7 @@ func (t *tsdbCatalog) ScanTable(ctx context.Context, name string, spec sqlexec.S
 	}
 	key := "tsdb|" + spec.Key()
 	marks := t.client.db.Watermarks()
-	if v, ok := cache.Get(key, marks); ok {
+	if v, ok, _ := cache.Get(key, marks); ok {
 		metSQLScanHits.Inc()
 		return v.(*sqlexec.Relation), nil
 	}
@@ -136,7 +133,7 @@ func (t *tsdbCatalog) ScanTable(ctx context.Context, name string, spec sqlexec.S
 	// Re-snapshot after the scan: ingest racing the scan must not pin a
 	// pre-ingest result under post-ingest watermarks, so only store when
 	// the store was quiescent across the scan.
-	if after := t.client.db.Watermarks(); watermarksEq(marks, after) {
+	if after := t.client.db.Watermarks(); slices.Equal(marks, after) {
 		cache.Put(key, marks, rel)
 	}
 	return rel, nil
@@ -149,18 +146,6 @@ func (t *tsdbCatalog) EstimateScan(name string, spec sqlexec.ScanSpec) int {
 		return -1
 	}
 	return t.client.db.EstimateQuery(spec.Query())
-}
-
-func watermarksEq(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SQLCacheStats reports this client's SQL-layer cache counters: compiled

@@ -14,12 +14,12 @@ import (
 // Standing queries. EXPLAIN ... EVERY <dur> [ON ANOMALY] does not run once
 // and return — it registers a watcher that re-evaluates the ranking on the
 // cadence and pushes an update only when the answer changes. The watcher
-// is watermark-gated: a tick where neither the store's per-shard ingest
-// sequences nor the family-registry generation moved performs no engine
-// work at all. When it does evaluate, it runs the one ranking path an
-// ad-hoc Query takes, so every emitted ranking is bitwise identical to a
-// fresh EXPLAIN at the same watermark (and shares its ranking-cache
-// entry).
+// is gated by the family-registry generation, the one key that validates
+// everything derived from families: a tick before the next rebuild
+// performs no engine work at all, however much was ingested meanwhile.
+// When it does evaluate, it runs the one ranking path an ad-hoc Query
+// takes, so every emitted ranking is bitwise identical to a fresh EXPLAIN
+// over the same registry (and shares its ranking-cache entry).
 
 // WatchOptions tune the standing-query subsystem. Set them with
 // SetWatchOptions before the first Watch/CreateWatch call — the manager is
@@ -43,7 +43,7 @@ type RankingUpdate struct {
 	Seq uint64
 	At  time.Time
 	// Rows is the full ranking at emit time (bitwise identical to a fresh
-	// EXPLAIN of the same statement at the same watermark).
+	// EXPLAIN of the same statement over the same registry).
 	Rows []RankedFamily
 	// Reason classifies the change: "initial", "membership", "order",
 	// "score", or "error".
@@ -218,9 +218,9 @@ func (c *Client) CreateWatch(sql, tenant string) (WatchInfo, error) {
 		return WatchInfo{}, err
 	}
 	if plan.OnAnomaly {
-		// Fail fast: an ON ANOMALY watcher scans the target family every
-		// time the store moves, so the target must resolve now.
-		if _, err := c.resolveFamily(plan.Target, "target family"); err != nil {
+		// Fail fast: an ON ANOMALY watcher scans the target family after
+		// every rebuild, so the target must resolve now.
+		if _, err := c.reg.Load().family(plan.Target, "target family"); err != nil {
 			return WatchInfo{}, err
 		}
 	}
@@ -377,19 +377,15 @@ func rankingUpdateFrom(u monitor.Update) RankingUpdate {
 
 type watchBackend struct{ c *Client }
 
-// WatchWatermarks snapshots every input a ranking depends on: the store's
-// per-shard ingest sequences plus the family-registry generation. Family
-// matrices are materialized at BuildFamilies time, so ingest alone cannot
-// change a ranking until families are rebuilt — but a rebuild without new
-// ingest must still invalidate, hence the appended generation.
-func (b *watchBackend) WatchWatermarks() []uint64 {
-	return append(b.c.db.Watermarks(), b.c.famGeneration())
-}
+// Generation is the family-registry generation: rankings and the ON
+// ANOMALY scan read only the registry, so only a rebuild can change what a
+// tick would emit.
+func (b *watchBackend) Generation() uint64 { return b.c.reg.Load().gen }
 
 // Evaluate runs the standing plan through the one ranking path — the path
 // Query and QueryStream take for the same statement — so the emitted rows
-// are bitwise identical to a fresh EXPLAIN at the same watermark and share
-// its ranking-cache entry. A tick is internal work: it records no request
+// are bitwise identical to a fresh EXPLAIN over the same registry and
+// share its ranking-cache entry. A tick is internal work: it records no request
 // metric.
 func (b *watchBackend) Evaluate(ctx context.Context, q monitor.Query) ([]monitor.Row, error) {
 	final, _, err := b.c.rank(ctx, planSpec(sqlexec.ExplainPlan{

@@ -16,11 +16,11 @@ import (
 // Standing-query acceptance suite. The two load-bearing invariants:
 //
 //  1. A watcher's emitted ranking is bitwise identical to a fresh EXPLAIN
-//     of the same statement at the same watermark, at every shard and
+//     of the same statement over the same registry, at every shard and
 //     worker count — the watch path is the ad-hoc path, not a parallel
 //     implementation that can drift.
-//  2. A tick where no watermark advanced performs no engine work at all,
-//     asserted through the subsystem's obs counters.
+//  2. A tick before the next family rebuild performs no engine work at
+//     all, asserted through the subsystem's obs counters.
 
 // watchCadence is long enough that the timer never fires during a test:
 // after the immediate first tick, every round is driven deterministically
@@ -147,12 +147,12 @@ func TestWatchBitwiseIdentityAcrossShardsAndWorkers(t *testing.T) {
 	}
 }
 
-// TestWatchNoWatermarkAdvanceDoesNoEngineWork pins invariant (2): between
-// two ticks with no ingest and no family rebuild, the evals counter does
-// not move — only the skip counter does. A watermark advance (ingest, or a
-// family rebuild with no ingest) re-enables evaluation; an evaluation
-// whose ranking is unchanged does not emit.
-func TestWatchNoWatermarkAdvanceDoesNoEngineWork(t *testing.T) {
+// TestWatchNoRebuildDoesNoEngineWork pins invariant (2): between two
+// ticks with no family rebuild, the evals counter does not move — only the
+// skip counter does, however much was ingested meanwhile, and the ranking
+// the watcher last emitted still equals an uncached recompute. A rebuild
+// re-enables evaluation; an evaluation whose ranking moved emits.
+func TestWatchNoRebuildDoesNoEngineWork(t *testing.T) {
 	c := New()
 	defer c.Close()
 	rng := rand.New(rand.NewSource(3))
@@ -175,7 +175,7 @@ func TestWatchNoWatermarkAdvanceDoesNoEngineWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer unsub()
-	waitUpdate(t, ch) // initial evaluation done
+	initial := waitUpdate(t, ch) // initial evaluation done
 
 	// Quiescent store: two ticks, zero engine work.
 	before := snapshotWatchCounters()
@@ -196,25 +196,31 @@ func TestWatchNoWatermarkAdvanceDoesNoEngineWork(t *testing.T) {
 		t.Fatalf("per-watcher counters: %+v", wi)
 	}
 
-	// Ingest moves the shard watermark: the next tick evaluates. Families
-	// were not rebuilt, so the matrices — and the ranking — are unchanged:
-	// evaluation happens, emission does not.
+	// Ingest moves the shard watermarks but not the registry: families were
+	// not rebuilt, so the matrices — and the ranking — are unchanged, and
+	// the tick skips without evaluating or emitting.
 	c.Put("latency", nil, to.Add(time.Minute), 5)
 	before = snapshotWatchCounters()
 	tickWatcher(t, c, info.ID)
 	after = snapshotWatchCounters()
-	if d := after.evals - before.evals; d != 1 {
-		t.Fatalf("ingest-advanced tick ran %v evaluations, want 1", d)
+	if d := after.evals - before.evals; d != 0 {
+		t.Fatalf("ingest-only tick ran %v evaluations, want 0", d)
 	}
-	if d := after.unchanged - before.unchanged; d != 1 {
-		t.Fatalf("identical ranking emitted (unchanged delta %v)", d)
+	if d := after.skips - before.skips; d != 1 {
+		t.Fatalf("ingest-only tick skips %v, want 1", d)
 	}
 	expectNoUpdate(t, ch)
+	c.SetRankingCacheCapacity(0)
+	recomputed, err := c.ExplainContext(context.Background(), ExplainOptions{Target: "latency", TopK: len(c.reg.Load().byName)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertUpdateBitwiseEqual(t, initial, recomputed, "after ingest")
+	c.SetRankingCacheCapacity(defaultRankingCacheCap)
 
 	// A substantial regime change plus a family rebuild: the rebuild bumps
-	// the registry generation (part of the watermark even without ingest),
-	// and the grown window's ranking moves well beyond epsilon, so this
-	// tick evaluates AND emits.
+	// the registry generation, and the grown window's ranking moves well
+	// beyond epsilon, so this tick evaluates AND emits.
 	for i := 0; i < 300; i++ {
 		at := to.Add(time.Duration(i+2) * time.Minute)
 		v := 2 + rng.NormFloat64()
@@ -237,7 +243,7 @@ func TestWatchNoWatermarkAdvanceDoesNoEngineWork(t *testing.T) {
 	}
 
 	// And the emitted ranking is still the fresh ranking, bit for bit.
-	fresh, err := c.ExplainContext(context.Background(), ExplainOptions{Target: "latency", TopK: c.numFamilies()})
+	fresh, err := c.ExplainContext(context.Background(), ExplainOptions{Target: "latency", TopK: len(c.reg.Load().byName)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +337,7 @@ func TestWatchOnAnomaly(t *testing.T) {
 
 	// The emitted ranking equals a fresh EXPLAIN over the fired window.
 	fresh, err := c.ExplainContext(context.Background(), ExplainOptions{
-		Target: "runtime", TopK: c.numFamilies(),
+		Target: "runtime", TopK: len(c.reg.Load().byName),
 		ExplainFrom: u.AnomalyFrom, ExplainTo: u.AnomalyTo,
 	})
 	if err != nil {
@@ -445,7 +451,7 @@ func TestWatchFacadeLifecycle(t *testing.T) {
 }
 
 // TestWatchSharesRankingCache: the watcher's evaluation goes through the
-// PR-6 ranking cache exactly like an ad-hoc EXPLAIN, so a fresh EXPLAIN
+// ranking cache exactly like an ad-hoc EXPLAIN, so a fresh EXPLAIN
 // right after the initial tick is a cache hit, not a recompute.
 func TestWatchSharesRankingCache(t *testing.T) {
 	c := New()
