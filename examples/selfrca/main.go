@@ -6,8 +6,9 @@
 //
 //	EXPLAIN explainit_request_latency_ms
 //
-// ranks the correlated cache and engine counters as the cause of the
-// latency step. The scrape
+// ranks the process's own families against the latency step, and the
+// example reports how many of the top five are engine and ranking-cache
+// families. The scrape
 // clock here is synthetic (ScrapeOnce with minute-apart stamps) so the
 // example runs in milliseconds; explainitd -self-scrape=10s does the
 // same thing on a real clock.
@@ -96,11 +97,22 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nEXPLAIN explainit_request_latency_ms:")
+	serving := 0
 	for _, row := range ranking.Rows {
 		fmt.Printf("  %2.0f. %-42v score %.3f\n", row[0], row[1], row[3])
+		name := fmt.Sprint(row[1])
+		if strings.HasPrefix(name, "explainit_engine_") || strings.HasPrefix(name, "explainit_ranking_cache_") {
+			serving++
+		}
 	}
-	fmt.Println("\nengine and cache counters dominate the ranking: the latency step")
-	fmt.Println("coincides with full rankings replacing cache hits — a cache outage.")
+	if len(ranking.Rows) == 0 {
+		log.Fatal("empty ranking")
+	}
+	// Requests are timed on the wall clock, so which family leads varies
+	// from run to run; report what this ranking shows rather than assert it.
+	fmt.Printf("\ntop family: %v; %d of the top %d are engine or ranking-cache families\n",
+		ranking.Rows[0][1], serving, len(ranking.Rows))
+	fmt.Println("(the induced regression: the ranking cache went off mid-run, so full rankings replaced cache hits)")
 }
 
 // seedTelemetry writes a small customer-side incident (the same shape the

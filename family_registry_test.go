@@ -1,10 +1,12 @@
 package explainit
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,6 +16,7 @@ import (
 
 	"explainit/internal/core"
 	"explainit/internal/obs"
+	"explainit/internal/tsdb"
 )
 
 // TestBuildFamiliesAtomicSwap: a rebuild replaces the registry in one step.
@@ -153,6 +156,124 @@ func TestBuildFamiliesDuringOutOfOrderWrites(t *testing.T) {
 		if err := sameFamilyBits(got, want); err != nil {
 			t.Fatalf("build %d of %d: %v", i+1, len(builds), err)
 		}
+	}
+}
+
+// TestDuplicateRepairOrderFree: duplicate (series, timestamp) samples are
+// primary-key violations the store keeps, and every reader must see them
+// repaired one way whatever order they arrived in and wherever they are
+// stored. One batch with conflicting duplicates, put in 5 seeded
+// permutations into in-memory stores of 1, 4 and 7 shards and into a
+// 4-shard durable store that is then reopened, must give byte-identical
+// Save snapshots, identical Run output and SQL scan rows (duplicates as
+// separate samples, in canonical order) and bitwise identical families.
+// Summed in arrival order, 1e16, 1 and -1e16 in one cell average to 0 or
+// 1/3 depending on the batch order.
+func TestDuplicateRepairOrderFree(t *testing.T) {
+	var batch []Observation
+	for i := 0; i < 60; i++ {
+		at := t0.Add(time.Duration(i) * time.Minute)
+		batch = append(batch,
+			Observation{Metric: "disk", Tags: Tags{"host": "dn-1"}, At: at, Value: float64(i)},
+			Observation{Metric: "cpu", Tags: Tags{"host": "dn-1"}, At: at, Value: float64(i % 7)})
+	}
+	for _, dup := range []struct {
+		minute int
+		vals   []float64
+	}{{10, []float64{1e16, 1, -1e16}}, {20, []float64{0.1, 0.2, 0.3}}, {30, []float64{-1e16, 3, 1e16, 3}}} {
+		at := t0.Add(time.Duration(dup.minute) * time.Minute)
+		for _, v := range dup.vals {
+			batch = append(batch,
+				Observation{Metric: "disk", Tags: Tags{"host": "dn-2"}, At: at, Value: v},
+				Observation{Metric: "cpu", Tags: Tags{"host": "dn-1"}, At: at, Value: v})
+		}
+	}
+	from, to := t0, t0.Add(time.Hour)
+
+	type readout struct {
+		save      []byte
+		run, rows string
+		families  []*core.Family
+		what      string
+	}
+	read := func(what string, c *Client) readout {
+		t.Helper()
+		var save bytes.Buffer
+		if err := c.db.Save(&save); err != nil {
+			t.Fatal(err)
+		}
+		series, err := c.db.Run(tsdb.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var run strings.Builder
+		for _, s := range series {
+			fmt.Fprintf(&run, "%s:", s.ID())
+			for _, smp := range s.Samples {
+				fmt.Fprintf(&run, " %d=%x", smp.TS.UnixNano(), math.Float64bits(smp.Value))
+			}
+			run.WriteByte('\n')
+		}
+		res, err := c.Query(context.Background(), `SELECT timestamp, value FROM tsdb WHERE metric_name = 'cpu'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.BuildFamilies("name", from, to, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		return readout{save.Bytes(), run.String(), fmt.Sprint(res.Rows), c.registrySnapshot(), what}
+	}
+	var want readout
+	same := func(got readout) {
+		t.Helper()
+		if want.what == "" {
+			want = got
+			return
+		}
+		switch {
+		case !bytes.Equal(got.save, want.save):
+			t.Fatalf("%s: Save bytes differ from %s", got.what, want.what)
+		case got.run != want.run:
+			t.Fatalf("%s: Run returned\n%s\n%s returned\n%s", got.what, got.run, want.what, want.run)
+		case got.rows != want.rows:
+			t.Fatalf("%s: SQL scan rows differ from %s", got.what, want.what)
+		}
+		if err := sameFamilyBits(got.families, want.families); err != nil {
+			t.Fatalf("%s vs %s: %v", got.what, want.what, err)
+		}
+	}
+	for perm := int64(0); perm < 5; perm++ {
+		recs := slices.Clone(batch)
+		rand.New(rand.NewSource(perm)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		for _, shards := range []int{1, 4, 7} {
+			c := newClient(tsdb.NewWithShards(shards))
+			if err := c.PutBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+			same(read(fmt.Sprintf("permutation %d at %d shards", perm, shards), c))
+		}
+		dir := t.TempDir()
+		c, err := OpenShards(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PutBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = OpenShards(dir, 4); err != nil {
+			t.Fatal(err)
+		}
+		same(read(fmt.Sprintf("permutation %d durable, reopened", perm), c))
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// In canonical order the +10m cell sums 1, 1e16, -1e16: 1 is absorbed.
+	if cell := want.families[1].Matrix.At(10, 1); cell != 0 {
+		t.Fatalf("disk{host=dn-2} at +10m averaged %v, want 0", cell)
 	}
 }
 

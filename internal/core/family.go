@@ -94,9 +94,10 @@ func (f *Family) validateShape() error {
 }
 
 // GroupFunc assigns a series to a family name. Returning "" drops the
-// series from the grouping. A store build (BuildFamiliesFromStore) runs it
-// under a shard's read lock, concurrently for different shards: it must not
-// retain or modify the series, nor call into the store.
+// series from the grouping. A store build (BuildFamiliesFromStore) hands it
+// the stored series' header — name and tags; Samples is nil — under a
+// shard's read lock, concurrently for different shards: it must not retain
+// or modify the series, nor call into the store.
 type GroupFunc func(*ts.Series) string
 
 // GroupByMetricName groups series by their metric name — the default
@@ -123,8 +124,10 @@ func GroupByTag(key string) GroupFunc {
 // Family.Index).
 func BuildFamilies(series []*ts.Series, groupBy GroupFunc, r ts.TimeRange, step time.Duration) ([]*Family, error) {
 	fams, _, err := buildFamilies(1, func(visit visitFunc) int {
+		var in ts.Columns
 		for _, s := range series {
-			visit(0, "", s, s.Samples)
+			in.Load(s.Samples)
+			visit(0, "", s, in.NS, in.Val)
 		}
 		return len(series)
 	}, groupBy, r, step)
@@ -142,9 +145,11 @@ func BuildFamiliesFromStore(db *tsdb.DB, groupBy GroupFunc, r ts.TimeRange, step
 }
 
 // visitFunc receives one series of a build: the source part (goroutine)
-// handing it over, its ID ("" to render it), the series and the samples to
-// average (any order; the grid range-checks each).
-type visitFunc func(part int, id string, s *ts.Series, in []ts.Sample)
+// handing it over, its ID ("" to render it), the series and its samples to
+// average as columns in canonical order (ts.Columns; the grid range-checks
+// each sample). A route holding []ts.Sample loads them into per-part
+// scratch columns first.
+type visitFunc func(part int, id string, s *ts.Series, ns []int64, val []float64)
 
 // buildFamilies is the one family builder. visitAll hands every series to
 // its visitFunc, concurrently across parts and serially within one, and
@@ -160,8 +165,8 @@ type visitFunc func(part int, id string, s *ts.Series, in []ts.Sample)
 func buildFamilies(parts int, visitAll func(visitFunc) int, groupBy GroupFunc, r ts.TimeRange, step time.Duration) ([]*Family, int, error) {
 	grid, gridErr := ts.NewGrid(r, step)
 	ps := make([]familyPart, parts)
-	n := visitAll(func(part int, id string, s *ts.Series, in []ts.Sample) {
-		ps[part].add(grid, id, groupBy(s), s, in)
+	n := visitAll(func(part int, id string, s *ts.Series, ns []int64, val []float64) {
+		ps[part].add(grid, id, groupBy(s), s, ns, val)
 	})
 	lists := make([][]column, parts)
 	for i := range ps {
@@ -213,9 +218,10 @@ type familyPart struct {
 	cols []column
 }
 
-// add averages one series into a column of the family named family ("":
-// dropped). Without a grid only the family name is kept, for the error.
-func (p *familyPart) add(grid *ts.Grid, id, family string, s *ts.Series, in []ts.Sample) {
+// add averages one series' samples (ns, val) into a column of the family
+// named family ("": dropped). Without a grid only the family name is kept,
+// for the error.
+func (p *familyPart) add(grid *ts.Grid, id, family string, s *ts.Series, ns []int64, val []float64) {
 	switch {
 	case family == "":
 		return
@@ -226,7 +232,7 @@ func (p *familyPart) add(grid *ts.Grid, id, family string, s *ts.Series, in []ts
 		p.grid = grid.Fork()
 	}
 	data := make([]float64, grid.Rows())
-	if !p.grid.Average(data, 1, 0, in) {
+	if !p.grid.Average(data, 1, 0, ns, val) {
 		return
 	}
 	if id == "" {
@@ -301,6 +307,7 @@ func FamiliesFromRelation(rel *sqlexec.Relation, timeCol, keyCol string, r ts.Ti
 		return nil, err
 	}
 	var p familyPart
+	var in ts.Columns
 	for _, name := range famNames {
 		display := name
 		if display == "" {
@@ -308,7 +315,8 @@ func FamiliesFromRelation(rel *sqlexec.Relation, timeCol, keyCol string, r ts.Ti
 		}
 		p.cols = p.cols[:0]
 		for _, s := range groups[name] {
-			p.add(grid, "", display, s, s.Samples)
+			in.Load(s.Samples)
+			p.add(grid, "", display, s, in.NS, in.Val)
 		}
 		if len(p.cols) > 0 {
 			families = append(families, newFamily(grid, display, p.cols))
@@ -317,8 +325,9 @@ func FamiliesFromRelation(rel *sqlexec.Relation, timeCol, keyCol string, r ts.Ti
 	return families, nil
 }
 
-// pivotRelation turns a relation into one sorted synthetic series per
-// (key, feature) pair, grouped by key; the keys are returned sorted.
+// pivotRelation turns a relation into one synthetic series per (key,
+// feature) pair, its samples in row order, grouped by key; the keys are
+// returned sorted.
 func pivotRelation(rel *sqlexec.Relation, timeCol, keyCol string) ([]string, map[string][]*ts.Series, error) {
 	tIdx := rel.ColumnIndex("", timeCol)
 	if tIdx < 0 {
@@ -389,7 +398,6 @@ func pivotRelation(rel *sqlexec.Relation, timeCol, keyCol string) ([]string, map
 	var famNames []string
 	for _, id := range order {
 		s := seriesByID[id]
-		s.Sort()
 		key := s.Tags["family"]
 		if _, ok := groups[key]; !ok {
 			famNames = append(famNames, key)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -20,9 +21,14 @@ import (
 // bucketing by time.Time subtraction, a NaN-initialised frame, a copy to
 // drop columns, a fresh observation list per column, a final copy), except
 // that each sample's membership of the half-open range is checked
-// explicitly, so the oracle holds for unsorted series too. BuildFamilies,
-// BuildFamiliesFromStore and FamiliesFromRelation must reproduce it bit for
-// bit on every input without monotonic clock readings.
+// explicitly, so the oracle holds for unsorted series too, and that a
+// series' samples are bucketed in canonical order (by timestamp, then by
+// value bits), so a cell sums its samples — duplicates of one timestamp
+// included — in one order whatever order they arrived in. On sorted input
+// without duplicates that is the arrival order.
+// BuildFamilies, BuildFamiliesFromStore and FamiliesFromRelation must
+// reproduce it bit for bit on every input without monotonic clock
+// readings.
 
 func oracleTimeGrid(r ts.TimeRange, step time.Duration) []time.Time {
 	if step <= 0 || !r.To.After(r.From) {
@@ -51,7 +57,7 @@ func oracleAlign(series []*ts.Series, r ts.TimeRange, step time.Duration) (*ts.F
 	}
 	counts := make([]int, len(grid)*len(cols))
 	for j, s := range series {
-		for _, smp := range s.Samples {
+		for _, smp := range canonicalSamples(s.Samples) {
 			if !r.Contains(smp.TS) {
 				continue
 			}
@@ -75,6 +81,19 @@ func oracleAlign(series []*ts.Series, r ts.TimeRange, step time.Duration) (*ts.F
 		}
 	}
 	return f, nil
+}
+
+// canonicalSamples returns a copy of samples sorted by timestamp, then by
+// value bits.
+func canonicalSamples(samples []ts.Sample) []ts.Sample {
+	out := slices.Clone(samples)
+	slices.SortFunc(out, func(a, b ts.Sample) int {
+		if c := a.TS.Compare(b.TS); c != 0 {
+			return c
+		}
+		return cmp.Compare(math.Float64bits(a.Value), math.Float64bits(b.Value))
+	})
+	return out
 }
 
 func oracleDropAllNaNColumns(f *ts.Frame) *ts.Frame {
@@ -366,7 +385,7 @@ func (c buildCase) toSeries() []*ts.Series {
 			s.Append(t0.Add(time.Duration(smp.at)*time.Second), smp.v)
 		}
 		if !cs.unsorted {
-			s.Sort()
+			slices.SortStableFunc(s.Samples, func(a, b ts.Sample) int { return a.TS.Compare(b.TS) })
 		}
 		out = append(out, s)
 	}
@@ -591,6 +610,13 @@ var buildCases = []struct {
 	{"duplicate timestamps", buildCase{step: 60, span: 240, series: []caseSeries{
 		{name: "disk", host: "dn-1", samples: []caseSample{{0, 1}, {0, 2}, {60, 1e16}, {60, 1}, {60, -1e16}, {120, 0.1}, {120, 0.2}, {120, 0.3}}},
 		{name: "disk", host: "dn-2", unsorted: true, samples: []caseSample{{180, 1e16}, {0, 5}, {180, 1}, {0, 6}, {180, -1e16}}},
+	}}},
+	// Summed in arrival order, the first cell averages to 0 or 1/3 and the
+	// second to 0.19999999999999998 or 0.20000000000000004, depending on
+	// the order the duplicates came in.
+	{"conflicting duplicates out of canonical order", buildCase{step: 60, span: 120, series: []caseSeries{
+		{name: "disk", host: "dn-1", samples: []caseSample{{0, -1e16}, {0, 1}, {0, 1e16}, {60, 0.3}, {60, 0.1}, {60, 0.2}}},
+		{name: "disk", host: "dn-2", unsorted: true, samples: []caseSample{{60, 0.2}, {0, 1e16}, {60, 0.3}, {0, -1e16}, {60, 0.1}, {0, 1}}},
 	}}},
 	{"partial range", buildCase{step: 60, span: 600, series: []caseSeries{
 		{name: "disk", host: "dn-1", samples: []caseSample{{-600, 1}, {-60, 2}, {0, 3}, {300, 4}, {599, 5}, {600, 6}, {1200, 7}}},

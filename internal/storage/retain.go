@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	ts "explainit/internal/timeseries"
 )
 
 // Retention compaction: the durable counterpart of the TSDB's in-memory
@@ -24,35 +26,18 @@ import (
 // the durable state and returns how many samples were pruned. Samples at
 // or after cutoff survive — the usual "keep the last N days" retention.
 func (s *Store) RetainBefore(cutoff time.Time) (int, error) {
-	return s.retainNanos(clampNanos(cutoff), math.MaxInt64)
+	return s.retainNanos(ts.UnixNanos(cutoff), math.MaxInt64)
 }
 
 // Retain keeps only samples with From <= timestamp < To (the same
 // half-open contract as timeseries.TimeRange) and returns how many
 // samples were pruned from blocks. The rewrite is idempotent: a crash
 // mid-pass leaves some blocks pruned and some not, and re-running Retain
-// finishes the job.
+// finishes the job. Bounds are clamped to the int64 nanosecond range
+// (timeseries.UnixNanos) exactly as the in-memory sweep clamps them.
 func (s *Store) Retain(from, to time.Time) (int, error) {
-	return s.retainNanos(clampNanos(from), clampNanos(to))
+	return s.retainNanos(ts.UnixNanos(from), ts.UnixNanos(to))
 }
-
-// clampNanos converts a time to unix nanoseconds, clamping instants
-// outside the representable range (UnixNano is undefined there) so that
-// "forever" style bounds behave as expected.
-func clampNanos(t time.Time) int64 {
-	if t.After(maxNanoTime) {
-		return math.MaxInt64
-	}
-	if t.Before(minNanoTime) {
-		return math.MinInt64
-	}
-	return t.UnixNano()
-}
-
-var (
-	minNanoTime = time.Unix(0, math.MinInt64)
-	maxNanoTime = time.Unix(0, math.MaxInt64)
-)
 
 func (s *Store) retainNanos(fromN, toN int64) (int, error) {
 	if s.closed.Load() {

@@ -35,11 +35,11 @@ func TimeGrid(r TimeRange, step time.Duration) []time.Time {
 // Fork gives each goroutine its own scratch over the same Index.
 //
 // Bucketing is wall-clock integer arithmetic over the half-open range
-// [From, To): a sample at ts belongs to the grid only if From <= ts < To,
-// compared in Unix nanoseconds, and then lands in row
-// (ts.UnixNano() − From.UnixNano()) / step, so a monotonic reading on a
-// sample or on the range never moves a sample. Samples may arrive in any
-// order: every one is range-checked, so no caller needs to sort first.
+// [From, To): a sample at ns Unix nanoseconds belongs to the grid only if
+// From <= ns < To, and then lands in row (ns − From.UnixNano()) / step, so
+// a monotonic reading on the range never moves a sample. Every sample is
+// range-checked, so the order samples come in decides nothing but the
+// order a cell sums them in.
 type Grid struct {
 	Index []time.Time // the grid points; never written after NewGrid
 
@@ -73,15 +73,18 @@ func (g *Grid) Fork() *Grid {
 // Rows returns the number of grid points.
 func (g *Grid) Rows() int { return len(g.Index) }
 
-// Average buckets one series' samples onto the grid and averages them in
-// place into column j of dst, a row-major Rows() x stride buffer; the
-// column's prior contents are ignored. Duplicates in a cell are summed in
-// arrival order and divided by their count; a cell that no sample reached
-// is NaN. A cell whose average is NaN (a NaN sample, or +Inf and -Inf
-// together) is therefore indistinguishable from an empty one: NaN is the
-// single meaning of "missing". It reports whether any cell of the column
-// holds an observation.
-func (g *Grid) Average(dst []float64, stride, j int, samples []Sample) (observed bool) {
+// Average buckets one series' samples, given as columns of Unix
+// nanoseconds ns and values val (Columns), onto the grid and averages them
+// in place into column j of dst, a row-major Rows() x stride buffer; the
+// column's prior contents are ignored. The samples of a cell are summed in
+// the order given — the canonical order, from the store or Columns.Load,
+// so duplicates sum alike whatever order they arrived in — and divided by
+// their count; a cell that no sample reached is NaN. A cell whose average
+// is NaN (a NaN sample, or +Inf and -Inf together) is therefore
+// indistinguishable from an empty one: NaN is the single meaning of
+// "missing". It reports whether any cell of the column holds an
+// observation.
+func (g *Grid) Average(dst []float64, stride, j int, ns []int64, val []float64) (observed bool) {
 	rows := int64(g.Rows())
 	if rows == 0 {
 		return false
@@ -95,25 +98,25 @@ func (g *Grid) Average(dst []float64, stride, j int, samples []Sample) (observed
 	// same row as the last or the next one, which needs no division; any
 	// other sample is placed by dividing, to the same row.
 	i, lo, hi := int64(-1), g.from, g.from
-	for _, smp := range samples {
-		ns := smp.TS.UnixNano()
-		if ns < g.from || ns >= g.to {
+	val = val[:len(ns)]
+	for k, t := range ns {
+		if t < g.from || t >= g.to {
 			continue
 		}
 		switch {
-		case ns >= lo && ns < hi:
-		case ns >= hi && ns-hi < g.step:
+		case t >= lo && t < hi:
+		case t >= hi && t-hi < g.step:
 			i, lo, hi = i+1, hi, hi+g.step
 		default:
-			i = (ns - g.from) / g.step
+			i = (t - g.from) / g.step
 			lo = g.from + i*g.step
 			hi = lo + g.step
 		}
 		idx := int(i)*stride + j
 		if counts[i] == 0 {
-			dst[idx] = smp.Value
+			dst[idx] = val[k]
 		} else {
-			dst[idx] += smp.Value
+			dst[idx] += val[k]
 		}
 		counts[i]++
 	}
@@ -139,7 +142,8 @@ func (g *Grid) Fill(dst []float64, stride, j int) {
 
 // Align places the given series onto a regular grid over r with the given
 // step. Each sample is bucketed to its flooring grid point; multiple samples
-// in a bucket are averaged. Grid points with no samples are NaN.
+// in a bucket are averaged, summed in canonical order (Columns). Grid
+// points with no samples are NaN.
 func Align(series []*Series, r TimeRange, step time.Duration) (*Frame, error) {
 	g, err := NewGrid(r, step)
 	if err != nil {
@@ -150,8 +154,10 @@ func Align(series []*Series, r TimeRange, step time.Duration) (*Frame, error) {
 		cols[j] = s.ID()
 	}
 	f := &Frame{Index: g.Index, Columns: cols, values: make([]float64, g.Rows()*len(cols))}
+	var in Columns
 	for j, s := range series {
-		g.Average(f.values, len(cols), j, s.Samples)
+		in.Load(s.Samples)
+		g.Average(f.values, len(cols), j, in.NS, in.Val)
 	}
 	return f, nil
 }

@@ -3,6 +3,7 @@ package timeseries
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -70,16 +71,18 @@ func TestGridAverageAndFill(t *testing.T) {
 	a.Append(t0.Add(time.Minute), 2)
 	a.Append(t0.Add(time.Minute+time.Second), 4)
 	b := minuteSeries("b", nil, 1, math.NaN(), 3, 4)
+	average := func(data []float64, j int, s *Series) bool {
+		var in Columns
+		in.Load(s.Samples)
+		return g.Average(data, 2, j, in.NS, in.Val)
+	}
 	data := make([]float64, 4*2)
-	for j, c := range []struct {
-		s        *Series
-		observed bool
-	}{{empty, false}, {nan, false}} {
-		if got := g.Average(data, 2, j, c.s.Samples); got != c.observed {
-			t.Fatalf("%s: observed %v", c.s.Name, got)
+	for j, s := range []*Series{empty, nan} {
+		if average(data, j, s) {
+			t.Fatalf("%s: observed", s.Name)
 		}
 	}
-	if !g.Average(data, 2, 0, a.Samples) || !g.Average(data, 2, 1, b.Samples) {
+	if !average(data, 0, a) || !average(data, 1, b) {
 		t.Fatal("an observed column reported none")
 	}
 	if want := "[NaN 1 3 NaN NaN 3 NaN 4]"; fmt.Sprint(data) != want {
@@ -92,25 +95,23 @@ func TestGridAverageAndFill(t *testing.T) {
 	}
 }
 
-// TestGridAverageUnsorted: the range is checked on every sample, so an
-// unsorted series averages exactly as its sorted copy does and a stray in
-// (From - step, From) stays out of row 0. A binary search of the range
-// (Series.Slice) assumes sorted input: on this series it dropped the 2 at
-// +60s and folded the 8 at -30s into row 0.
+// TestGridAverageUnsorted: the range is checked on every sample, so
+// unsorted columns average exactly as their canonical copy does and a
+// stray in (From - step, From) stays out of row 0. A binary search of the
+// range assumes sorted input: on these samples it dropped the 2 at +60s
+// and folded the 8 at -30s into row 0.
 func TestGridAverageUnsorted(t *testing.T) {
 	g, err := NewGrid(TimeRange{From: t0, To: t0.Add(3 * time.Minute)}, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Series{Name: "m"}
-	s.Append(t0.Add(time.Minute), 2)
-	s.Append(t0.Add(-30*time.Second), 8)
-	s.Append(t0, 1)
-	sorted := &Series{Name: "m", Samples: append([]Sample(nil), s.Samples...)}
+	ns := []int64{t0.Add(time.Minute).UnixNano(), t0.Add(-30 * time.Second).UnixNano(), t0.UnixNano()}
+	val := []float64{2, 8, 1}
+	sorted := Columns{NS: slices.Clone(ns), Val: slices.Clone(val)}
 	sorted.Sort()
-	for _, c := range []*Series{s, sorted} {
+	for _, c := range []Columns{{NS: ns, Val: val}, sorted} {
 		col := make([]float64, g.Rows())
-		g.Average(col, 1, 0, c.Samples)
+		g.Average(col, 1, 0, c.NS, c.Val)
 		if want := "[1 2 NaN]"; fmt.Sprint(col) != want {
 			t.Fatalf("averaged %v, want %v", col, want)
 		}

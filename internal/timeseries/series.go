@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 )
@@ -101,14 +100,7 @@ func (s *Series) ID() string {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Samples) }
 
-// Sort orders samples by timestamp (stable) in place.
-func (s *Series) Sort() {
-	sort.SliceStable(s.Samples, func(i, j int) bool {
-		return s.Samples[i].TS.Before(s.Samples[j].TS)
-	})
-}
-
-// Append adds a sample; samples may arrive out of order and be sorted later.
+// Append adds a sample; samples may arrive in any order.
 func (s *Series) Append(ts time.Time, v float64) {
 	s.Samples = append(s.Samples, Sample{TS: ts, Value: v})
 }
@@ -131,26 +123,6 @@ func (r TimeRange) IsZero() bool { return r.From.IsZero() && r.To.IsZero() }
 
 func (r TimeRange) String() string {
 	return fmt.Sprintf("[%s, %s)", r.From.Format(time.RFC3339), r.To.Format(time.RFC3339))
-}
-
-// Slice returns the samples of s falling inside the range, assuming the
-// series is sorted by time. An inverted range (To before From) is empty.
-func (s *Series) Slice(r TimeRange) []Sample {
-	lo := sort.Search(len(s.Samples), func(i int) bool { return !s.Samples[i].TS.Before(r.From) })
-	hi := sort.Search(len(s.Samples), func(i int) bool { return !s.Samples[i].TS.Before(r.To) })
-	if hi < lo {
-		return nil
-	}
-	return s.Samples[lo:hi]
-}
-
-// ValueAt returns the sample value at exactly ts, if present (sorted series).
-func (s *Series) ValueAt(ts time.Time) (float64, bool) {
-	i := sort.Search(len(s.Samples), func(i int) bool { return !s.Samples[i].TS.Before(ts) })
-	if i < len(s.Samples) && s.Samples[i].TS.Equal(ts) {
-		return s.Samples[i].Value, true
-	}
-	return 0, false
 }
 
 // Stats summarises a value slice.

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -52,18 +53,41 @@ func TestTagsClone(t *testing.T) {
 	}
 }
 
+// TestSeriesIDAndSort: a series' ID, and the canonical order its samples
+// are kept and summed in — by timestamp, then by value bits — so that
+// duplicates of one timestamp (3, 3, NaN and -1 at +2m) land in one order
+// whatever order they were appended in; Append reports each append that
+// broke the order, a tie included.
 func TestSeriesIDAndSort(t *testing.T) {
 	s := &Series{Name: "disk", Tags: Tags{"host": "dn-1"}}
-	s.Append(t0.Add(2*time.Minute), 3)
-	s.Append(t0, 1)
-	s.Append(t0.Add(time.Minute), 2)
-	s.Sort()
 	if s.ID() != "disk{host=dn-1}" {
 		t.Fatalf("id %q", s.ID())
 	}
-	for i := 0; i < 3; i++ {
-		if s.Samples[i].Value != float64(i+1) {
-			t.Fatalf("sample %d = %v", i, s.Samples[i])
+	s.Append(t0, 1)
+	s.Append(t0.Add(2*time.Minute), 3)
+	s.Append(t0.Add(2*time.Minute), -1)
+	s.Append(t0.Add(time.Minute), 2)
+	s.Append(t0.Add(2*time.Minute), math.NaN())
+	s.Append(t0.Add(2*time.Minute), 3)
+	const want = "[0:1 60:2 120:3 120:3 120:NaN 120:-1]"
+	for n, order := range [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, {3, 0, 4, 2, 5, 1}} {
+		var c Columns
+		var broke []int
+		for k, i := range order {
+			if !c.Append(s.Samples[i].TS.UnixNano(), s.Samples[i].Value) {
+				broke = append(broke, k)
+			}
+		}
+		if n == 0 && fmt.Sprint(broke) != "[3 5]" {
+			t.Fatalf("appends %v reported out of order, want [3 5]", broke)
+		}
+		c.Sort()
+		got := make([]string, c.Len())
+		for k := range got {
+			got[k] = fmt.Sprintf("%d:%v", (c.NS[k]-t0.UnixNano())/1e9, c.Val[k])
+		}
+		if fmt.Sprint(got) != want {
+			t.Fatalf("order %v: sorted %v, want %v", order, got, want)
 		}
 	}
 }
@@ -90,25 +114,21 @@ func TestTimeRange(t *testing.T) {
 	}
 }
 
+// TestSeriesSlice: Span bounds a series' sorted samples to a half-open
+// range; an inverted range holds nothing, and a bound past the int64
+// nanosecond range clamps instead of wrapping.
 func TestSeriesSlice(t *testing.T) {
-	s := minuteSeries("m", nil, 0, 1, 2, 3, 4, 5)
-	got := s.Slice(TimeRange{From: t0.Add(2 * time.Minute), To: t0.Add(5 * time.Minute)})
-	if len(got) != 3 || got[0].Value != 2 || got[2].Value != 4 {
-		t.Fatalf("slice %v", got)
+	var c Columns
+	c.Load(minuteSeries("m", nil, 0, 1, 2, 3, 4, 5).Samples)
+	if lo, hi := c.Span(TimeRange{From: t0.Add(2 * time.Minute), To: t0.Add(5 * time.Minute)}); lo != 2 || hi != 5 {
+		t.Fatalf("span [%d, %d), want [2, 5)", lo, hi)
 	}
-	// An inverted range holds nothing; its bounds used to cross and panic.
-	if got := s.Slice(TimeRange{From: t0.Add(4 * time.Minute), To: t0.Add(time.Minute)}); len(got) != 0 {
-		t.Fatalf("inverted range sliced %v", got)
+	if lo, hi := c.Span(TimeRange{From: t0.Add(4 * time.Minute), To: t0.Add(time.Minute)}); lo != hi {
+		t.Fatalf("inverted range spans [%d, %d)", lo, hi)
 	}
-}
-
-func TestValueAt(t *testing.T) {
-	s := minuteSeries("m", nil, 10, 20)
-	if v, ok := s.ValueAt(t0.Add(time.Minute)); !ok || v != 20 {
-		t.Fatalf("got %v %v", v, ok)
-	}
-	if _, ok := s.ValueAt(t0.Add(30 * time.Second)); ok {
-		t.Fatal("no sample at that instant")
+	forever := TimeRange{From: time.Unix(-1<<62, 0), To: time.Unix(1<<62, 0)}
+	if lo, hi := c.Span(forever); lo != 0 || hi != 6 {
+		t.Fatalf("unbounded range spans [%d, %d), want [0, 6)", lo, hi)
 	}
 }
 

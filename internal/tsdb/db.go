@@ -8,6 +8,7 @@ package tsdb
 
 import (
 	"errors"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -51,10 +52,13 @@ type shard struct {
 	// Lock order: wmu before mu.
 	wmu    sync.Mutex
 	mu     sync.RWMutex
-	series map[string]*ts.Series // by series ID
+	series map[string]*series // by series ID
 	// Inverted indexes. Values are sets of series IDs.
 	byName map[string]map[string]struct{}
 	byTag  map[string]map[string]struct{} // key "k=v"
+	// sorted reports that every series' samples are in canonical order
+	// (ts.Columns); an append that breaks the order, a tie included,
+	// clears it until the next read sorts the shard.
 	sorted bool
 
 	// seq is the shard's ingest watermark: a monotonic sequence bumped once
@@ -70,6 +74,15 @@ type shard struct {
 	// scans counts query executions against this shard, labeled by shard
 	// index (handle resolved at construction; nil-safe if never wired).
 	scans *obs.Counter
+}
+
+// series is one stored series: its name and tags once, as a ts.Series
+// header whose Samples stay nil (what a GroupFunc or a query filter reads),
+// and its samples as pointer-free columns. ts.Series values with samples
+// are built only where data leaves the store: Run and Save.
+type series struct {
+	hdr  ts.Series
+	cols ts.Columns
 }
 
 // DefaultShards is the shard count used when neither NewWithShards /
@@ -114,7 +127,7 @@ func NewWithShards(n int) *DB {
 
 func newShard() *shard {
 	return &shard{
-		series: make(map[string]*ts.Series),
+		series: make(map[string]*series),
 		byName: make(map[string]map[string]struct{}),
 		byTag:  make(map[string]map[string]struct{}),
 		sorted: true,
@@ -210,8 +223,9 @@ func (db *DB) shardForID(id []byte) *shard {
 // failures are sticky and surface from Close/Flush (use PutBatch for an
 // error-checked path). Concurrent Puts commit to their shard's WAL in
 // fsync order, which for concurrent writers to the same series at the same
-// timestamp may differ from the in-memory apply order — such racing writes
-// have no defined order in either mode.
+// timestamp may differ from the in-memory apply order; readers see such
+// duplicates in one canonical order (ts.Columns) either way, in memory and
+// after a replay.
 func (db *DB) Put(name string, tags ts.Tags, at time.Time, value float64) {
 	ib := idPool.Get().(*idBuf)
 	id := ib.appendID(name, tags)
@@ -224,7 +238,7 @@ func (db *DB) Put(name string, tags ts.Tags, at time.Time, value float64) {
 		}
 	}
 	sh.mu.Lock()
-	sh.putLocked(id, name, tags, at, value)
+	sh.putLocked(id, name, tags, at.UnixNano(), value)
 	sh.seq.Add(1)
 	sh.mu.Unlock()
 	if sh.store != nil {
@@ -320,7 +334,7 @@ func (sh *shard) putBatch(recs []Record, ids []byte, ends []int) error {
 		} else {
 			id = ib.appendID(r.Metric, tags)
 		}
-		sh.putLocked(id, r.Metric, tags, r.TS, r.Value)
+		sh.putLocked(id, r.Metric, tags, r.TS.UnixNano(), r.Value)
 	}
 	sh.seq.Add(1)
 	sh.mu.Unlock()
@@ -331,25 +345,25 @@ func (sh *shard) putBatch(recs []Record, ids []byte, ends []int) error {
 	return nil
 }
 
-// putLocked inserts one observation; caller holds the shard's write lock
-// and passes the prebuilt canonical ID bytes (idBuf.appendID), so looking
-// up an existing series allocates nothing (the common case under
-// sustained ingest); only a brand-new series materialises the ID string.
-func (sh *shard) putLocked(id []byte, name string, tags ts.Tags, at time.Time, value float64) {
+// putLocked inserts one observation at ns Unix nanoseconds; caller holds
+// the shard's write lock and passes the prebuilt canonical ID bytes
+// (idBuf.appendID), so looking up an existing series allocates nothing
+// (the common case under sustained ingest); only a brand-new series
+// materialises the ID string.
+func (sh *shard) putLocked(id []byte, name string, tags ts.Tags, ns int64, value float64) {
 	s, ok := sh.series[string(id)] // compiler elides the conversion alloc
 	if !ok {
 		idStr := string(id)
-		s = &ts.Series{Name: name, Tags: tags.Clone()}
+		s = &series{hdr: ts.Series{Name: name, Tags: tags.Clone()}}
 		sh.series[idStr] = s
 		addIndex(sh.byName, name, idStr)
 		for k, v := range tags {
 			addIndex(sh.byTag, k+"="+v, idStr)
 		}
 	}
-	if n := len(s.Samples); n > 0 && at.Before(s.Samples[n-1].TS) {
+	if !s.cols.Append(ns, value) {
 		sh.sorted = false
 	}
-	s.Append(at, value)
 }
 
 // PutSeries bulk-loads a whole series (merging with any existing one)
@@ -372,14 +386,14 @@ func addIndex(idx map[string]map[string]struct{}, key, id string) {
 	set[id] = struct{}{}
 }
 
-// sortLocked sorts the shard's series in place if needed; caller holds the
-// shard's write lock.
+// sortLocked puts every series of the shard in canonical order if needed;
+// caller holds the shard's write lock.
 func (sh *shard) sortLocked() {
 	if sh.sorted {
 		return
 	}
 	for _, s := range sh.series {
-		s.Sort()
+		s.cols.Sort()
 	}
 	sh.sorted = true
 }
@@ -416,7 +430,7 @@ func (db *DB) NumSamples() int {
 	for _, sh := range db.shards {
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			n += s.Len()
+			n += s.cols.Len()
 		}
 		sh.mu.RUnlock()
 	}
@@ -508,17 +522,20 @@ func (sh *shard) retain(r ts.TimeRange) (int, error) {
 	sh.sortLocked()
 	removed := 0
 	for id, s := range sh.series {
-		kept := s.Slice(r)
-		removed += s.Len() - len(kept)
-		if len(kept) == 0 {
+		lo, hi := s.cols.Span(r)
+		if lo == 0 && hi == s.cols.Len() {
+			continue
+		}
+		removed += s.cols.Len() - (hi - lo)
+		if lo == hi {
 			delete(sh.series, id)
-			removeIndex(sh.byName, s.Name, id)
-			for k, v := range s.Tags {
+			removeIndex(sh.byName, s.hdr.Name, id)
+			for k, v := range s.hdr.Tags {
 				removeIndex(sh.byTag, k+"="+v, id)
 			}
 			continue
 		}
-		s.Samples = append([]ts.Sample(nil), kept...)
+		s.cols.Keep(lo, hi)
 	}
 	if removed > 0 {
 		sh.seq.Add(1)
@@ -541,39 +558,33 @@ func removeIndex(idx map[string]map[string]struct{}, key, id string) {
 	}
 }
 
-// Bounds returns the earliest and latest sample timestamps in the store.
-// ok is false when the store is empty. On a sorted shard (the steady
-// state) only the first and last sample of every series is read — not
-// every sample; an unsorted shard falls back to a full scan under the
+// Bounds returns the earliest and latest sample timestamps in the store,
+// in UTC. ok is false when the store is empty. On a sorted shard (the
+// steady state) only the first and last sample of every series is read —
+// not every sample; an unsorted shard falls back to a full scan under the
 // same lock, since the sorted flag is only trustworthy while it is held.
-func (db *DB) Bounds() (min, max time.Time, ok bool) {
-	widen := func(first, last time.Time) {
-		if !ok {
-			min, max, ok = first, last, true
-			return
-		}
-		if first.Before(min) {
-			min = first
-		}
-		if last.After(max) {
-			max = last
-		}
-	}
+func (db *DB) Bounds() (first, last time.Time, ok bool) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, sh := range db.shards {
 		sh.mu.RLock()
 		for _, s := range sh.series {
-			if len(s.Samples) == 0 {
+			ns := s.cols.NS
+			if len(ns) == 0 {
 				continue
 			}
+			ok = true
 			if sh.sorted {
-				widen(s.Samples[0].TS, s.Samples[len(s.Samples)-1].TS)
+				lo, hi = min(lo, ns[0]), max(hi, ns[len(ns)-1])
 				continue
 			}
-			for _, smp := range s.Samples {
-				widen(smp.TS, smp.TS)
+			for _, t := range ns {
+				lo, hi = min(lo, t), max(hi, t)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return min, max, ok
+	if !ok {
+		return time.Time{}, time.Time{}, false
+	}
+	return time.Unix(0, lo).UTC(), time.Unix(0, hi).UTC(), true
 }

@@ -138,7 +138,7 @@ func OpenWithOptions(dir string, opts Options) (*DB, error) {
 		defer sh.mu.Unlock()
 		return sh.store.Replay(func(rec storage.Record) error {
 			tags := ts.Tags(rec.Tags)
-			sh.putLocked(ib.appendID(rec.Metric, tags), rec.Metric, tags, rec.TS, rec.Value)
+			sh.putLocked(ib.appendID(rec.Metric, tags), rec.Metric, tags, rec.TS.UnixNano(), rec.Value)
 			return nil
 		})
 	})

@@ -3,6 +3,8 @@ package tsdb
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +41,7 @@ func TestPutExistingSeriesDoesNotAllocate(t *testing.T) {
 	at := t0
 	n := 0
 	next := func() time.Time { n++; return at.Add(time.Duration(n) * time.Second) }
-	for i := 0; i < 1<<17; i++ { // leave plenty of slack before the next slice doubling
+	for i := 0; i < 1<<17; i++ { // columns this long grow at most once in the measured puts
 		db.Put("disk", tags, next(), 1)
 	}
 	allocs := testing.AllocsPerRun(2000, func() {
@@ -48,6 +50,56 @@ func TestPutExistingSeriesDoesNotAllocate(t *testing.T) {
 	if allocs > 0.5 {
 		t.Fatalf("existing-series Put allocates %.2f times per op", allocs)
 	}
+}
+
+// TestStoreBytesPerSample is the store's space budget at the rank_narrow
+// shape: 2000 series x 288 samples, loaded through PutBatch in 65,536-record
+// chunks (time-major, as a scrape writes them) into 8 shards. The live heap
+// the loaded store holds may be at most 24 B per sample. A sample held as a
+// 32 B ts.Sample in an append-doubled slice cost ~37 B; as 16 B of columns
+// grown by a quarter it costs ~20, series headers and indexes included.
+func TestStoreBytesPerSample(t *testing.T) {
+	const (
+		nSeries  = 2000
+		nSamples = 288
+		chunk    = 65536
+		budget   = 24.0
+	)
+	tags := make([]map[string]string, nSeries)
+	for i := range tags {
+		tags[i] = map[string]string{"host": fmt.Sprintf("dn-%d", i%50), "idx": fmt.Sprint(i)}
+	}
+	base := heapLive()
+	db := NewWithShards(8)
+	recs := make([]Record, 0, chunk)
+	for k := 0; k < nSeries*nSamples; k++ {
+		i, j := k%nSeries, k/nSeries
+		recs = append(recs, Record{Metric: fmt.Sprintf("metric_%d", i/4), Tags: tags[i], TS: t0.Add(time.Duration(j) * time.Minute), Value: float64(k)})
+		if len(recs) == chunk || k == nSeries*nSamples-1 {
+			if err := db.PutBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+			recs = recs[:0]
+		}
+	}
+	live := heapLive() - base
+	if got := db.NumSamples(); got != nSeries*nSamples {
+		t.Fatalf("%d samples stored, want %d", got, nSeries*nSamples)
+	}
+	perSample := float64(live) / float64(nSeries*nSamples)
+	t.Logf("store holds %.1f B per sample (%d B live for %d samples)", perSample, live, nSeries*nSamples)
+	if perSample > budget {
+		t.Fatalf("store holds %.1f B per sample, budget %.0f", perSample, budget)
+	}
+	runtime.KeepAlive(db)
+}
+
+// heapLive returns the bytes of live heap objects after a full collection.
+func heapLive() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // TestConcurrentPutSaveRace drives out-of-order Puts against repeated

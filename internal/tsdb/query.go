@@ -88,7 +88,9 @@ func (cq *compiledQuery) matches(s *ts.Series) bool {
 
 // Run executes the query and returns matching series, each restricted to
 // the query range (samples are copied; the store is not aliased). Results
-// are ordered by series ID for determinism, independent of shard count.
+// are ordered by series ID for determinism, independent of shard count;
+// each series' samples come in canonical order (ts.Columns), duplicates of
+// one timestamp as separate samples, stamped in UTC.
 func (db *DB) Run(q Query) ([]*ts.Series, error) {
 	return db.RunContext(context.Background(), q)
 }
@@ -225,14 +227,14 @@ func (sh *shard) runLocked(cq *compiledQuery) (out []match) {
 
 	for _, id := range ids {
 		s := sh.series[id]
-		if !cq.matches(s) {
+		if !cq.matches(&s.hdr) {
 			continue
 		}
-		samples := s.Slice(cq.rng)
-		if len(samples) == 0 {
+		lo, hi := s.cols.Span(cq.rng)
+		if lo == hi {
 			continue
 		}
-		out = append(out, match{id, &ts.Series{Name: s.Name, Tags: s.Tags.Clone(), Samples: append([]ts.Sample(nil), samples...)}})
+		out = append(out, match{id, &ts.Series{Name: s.hdr.Name, Tags: s.hdr.Tags.Clone(), Samples: s.cols.Samples(lo, hi)}})
 	}
 	return out
 }
@@ -248,17 +250,19 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // Visit hands every stored series with a sample in r (a zero r is every
-// sample) to fn in place: its canonical ID, the stored series and its
-// samples in r, all the store's own memory — no sample is copied and no
-// tag map cloned. One goroutine per shard walks that shard's series in ID
-// order, as Run's scan does, holding the shard's read lock throughout (an
-// unsorted shard is sorted under its write lock first and walked under
-// it), so fn runs concurrently for different shards and serially within
-// one; shard is the shard's index, 0 <= shard < NumShards(). fn must not
-// retain or modify s or in, and must not call into the DB or take a lock
-// another shard's visit may hold. A visit counts as one query, and one
-// scan per shard, on /metrics. It returns the number of series visited.
-func (db *DB) Visit(r ts.TimeRange, fn func(shard int, id string, s *ts.Series, in []ts.Sample)) int {
+// sample) to fn in place: its canonical ID, the series header (name and
+// tags; Samples is nil) and its samples in r as the store's own columns in
+// canonical order — Unix nanoseconds ns and values val — so no sample is
+// copied and no tag map cloned. One goroutine per shard walks that shard's
+// series in ID order, as Run's scan does, holding the shard's read lock
+// throughout (an unsorted shard is sorted under its write lock first and
+// walked under it), so fn runs concurrently for different shards and
+// serially within one; shard is the shard's index, 0 <= shard <
+// NumShards(). fn must not retain or modify s, ns or val, and must not
+// call into the DB or take a lock another shard's visit may hold. A visit
+// counts as one query, and one scan per shard, on /metrics. It returns the
+// number of series visited.
+func (db *DB) Visit(r ts.TimeRange, fn func(shard int, id string, s *ts.Series, ns []int64, val []float64)) int {
 	r = resolveRange(r)
 	metQueries.Inc()
 	visited := make([]int, len(db.shards))
@@ -270,8 +274,8 @@ func (db *DB) Visit(r ts.TimeRange, fn func(shard int, id string, s *ts.Series, 
 			sh.readSorted(func() {
 				for _, id := range sortedKeys(sh.series) {
 					s := sh.series[id]
-					if in := s.Slice(r); len(in) > 0 {
-						fn(i, id, s, in)
+					if lo, hi := s.cols.Span(r); lo < hi {
+						fn(i, id, &s.hdr, s.cols.NS[lo:hi], s.cols.Val[lo:hi])
 						visited[i]++
 					}
 				}

@@ -31,8 +31,10 @@ const snapshotVersion = 1
 
 // Save writes the entire store to w as a gob snapshot. The output is
 // byte-deterministic for a given logical store state (series sorted
-// globally by ID, tags sorted) — and therefore independent of the shard
-// count, which the shard-invariance tests rely on.
+// globally by ID, tags sorted, samples in canonical order and stamped in
+// UTC) — and therefore independent of the shard count and of the order
+// samples arrived in, which the shard-invariance and duplicate-repair
+// tests rely on.
 //
 // Each shard's contribution — sorting lazily-unsorted series and copying
 // them — is assembled under that shard's write lock: sorting with only a
@@ -53,16 +55,16 @@ func (db *DB) Save(w io.Writer) error {
 		sh.sortLocked()
 		for id, s := range sh.series {
 			ss := snapshotSeries{
-				Name:    s.Name,
-				Samples: append([]ts.Sample(nil), s.Samples...),
+				Name:    s.hdr.Name,
+				Samples: s.cols.Samples(0, s.cols.Len()),
 			}
-			keys := make([]string, 0, len(s.Tags))
-			for k := range s.Tags {
+			keys := make([]string, 0, len(s.hdr.Tags))
+			for k := range s.hdr.Tags {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				ss.Tags = append(ss.Tags, snapshotTag{K: k, V: s.Tags[k]})
+				ss.Tags = append(ss.Tags, snapshotTag{K: k, V: s.hdr.Tags[k]})
 			}
 			entries = append(entries, entry{id: id, ss: ss})
 		}

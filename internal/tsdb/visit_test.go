@@ -10,7 +10,7 @@ import (
 )
 
 // TestVisitInPlace: Visit hands each shard's series with a sample in range
-// in ID order, with the store's own sample memory restricted to the range,
+// in ID order, with the store's own sample columns restricted to the range,
 // sorting an unsorted shard first; across shards the visit covers exactly
 // the series Run returns, and it counts as one query and one scan per
 // shard.
@@ -30,14 +30,19 @@ func TestVisitInPlace(t *testing.T) {
 		var mu sync.Mutex
 		ids := make([][]string, shards)
 		var visited []string
-		n := db.Visit(r, func(shard int, id string, s *ts.Series, in []ts.Sample) {
-			ids[shard] = append(ids[shard], id) // one goroutine per shard
-			if len(in) == 0 || &in[0] != &s.Samples[1] || !slices.IsSortedFunc(s.Samples, func(a, b ts.Sample) int { return a.TS.Compare(b.TS) }) {
-				t.Errorf("%s: visited %d samples not the sorted store's [1:4]", id, len(in))
+		n := db.Visit(r, func(shard int, id string, s *ts.Series, ns []int64, val []float64) {
+			ids[shard] = append(ids[shard], id)   // one goroutine per shard
+			stored := db.shards[shard].series[id] // fn runs under this shard's lock
+			if s != &stored.hdr || s.Samples != nil {
+				t.Errorf("%s: visited header is not the store's sample-free one", id)
 			}
-			for _, smp := range in {
-				if !r.Contains(smp.TS) {
-					t.Errorf("%s: sample at %v outside %v", id, smp.TS, r)
+			cols := &stored.cols
+			if len(ns) == 0 || len(val) != len(ns) || &ns[0] != &cols.NS[1] || &val[0] != &cols.Val[1] || !slices.IsSorted(cols.NS) {
+				t.Errorf("%s: visited %d samples not the sorted store's [1:4]", id, len(ns))
+			}
+			for _, at := range ns {
+				if !r.Contains(time.Unix(0, at)) {
+					t.Errorf("%s: sample at %v outside %v", id, time.Unix(0, at), r)
 				}
 			}
 			mu.Lock()
